@@ -11,23 +11,22 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .filters import (
-    DiscriminativeObservationModel,
     FilterStats,
     GenerativeObservationModel,
     UkfParameters,
     run_filter,
 )
 from .regression import (
-    apply_q_calibration,
+    SPEC_FIELDS,
+    QEstimate,
     build_dkf_variant,
-    gp_predict_mean,
-    gp_predict_q,
+    fitted_observation,
     mlp_fit,
     mlp_predict,
     model_from_dict,
@@ -58,6 +57,7 @@ __all__ = [
     "fit_linear_observation",
     "fit_mlp_observation",
     "fit_cell",
+    "run_cell",
     "run_benchmark",
     "emit_report",
     "emit_trace",
@@ -92,7 +92,7 @@ FILTER_NAMES = ("kalman", "ekf", "ukf", "dkf-gp", "dkf-gp-freq", "dkf-nn")
 # other filters were requested
 _PURPOSE = {"ekf": 11, "ukf": 11, "dkf-gp": 12, "dkf-gp-freq": 13, "dkf-nn": 14}
 
-# The UKF baseline runs with the tight scaled sigma-point spread (the other
+# The UKF baseline is fitted with the tight scaled sigma-point spread (the other
 # classic default).  The wide Julier spread that UkfParameters defaults to
 # straddles sharp features of a learned sensor map and absorbs them into the
 # innovation covariance, so the filter stays well behaved; the tight spread
@@ -114,7 +114,6 @@ class BenchmarkConfig:
     lag: int = 0
     gp_subsample_cap: int = 1000
     split_fraction: float = 0.5
-    out: str | None = None
 
     def __post_init__(self):
         if self.dataset not in ("syn1", "syn2", "csv"):
@@ -288,24 +287,25 @@ def fit_linear_observation(Z: np.ndarray, X: np.ndarray) -> GenerativeObservatio
     offset = x_mean - H @ z_mean
     resid = X - (Z @ coef + offset)
     Lam = spd_floor(resid.T @ resid / X.shape[0])
-    return GenerativeObservationModel.linear(H, Lam, offset)
+    return fitted_observation({"kind": "kalman", "H": H, "Lambda": Lam, "offset": offset})
 
 
 def fit_mlp_observation(
-    Z: np.ndarray, X: np.ndarray, rng: RandomSource
+    Z: np.ndarray, X: np.ndarray, rng: RandomSource, kind: str = "ekf"
 ) -> GenerativeObservationModel:
     """Network fit of the forward map h: states -> observations for EKF/UKF.
 
     Lambda comes from residuals on the network's holdout partition
     (denominator n, SPD-floored); the Jacobian is left to finite differences.
+    A ukf model also carries the UKF_BENCH_PARAMS sigma-point spread.
     """
     mlp = mlp_fit(Z, X, rng)
     hold = mlp.holdout_indices
     resid = X[hold] - mlp_predict(mlp, Z[hold], batch=True)
-    Lam = spd_floor(resid.T @ resid / hold.shape[0])
-    return GenerativeObservationModel(
-        h=lambda z: mlp_predict(mlp, z), Lambda=Lam, jacobian=None, meta={"model": mlp}
-    )
+    spec = {"kind": kind, "model": mlp, "Lambda": spd_floor(resid.T @ resid / hold.shape[0])}
+    if kind == "ukf":
+        spec["ukf_params"] = UKF_BENCH_PARAMS
+    return fitted_observation(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,6 @@ class FittedCell:
     filter_name: str
     dyn: LinearGaussianDynamics
     obs: object
-    extras: dict | None = None
 
 
 def fit_cell(
@@ -342,7 +341,7 @@ def fit_cell(
     if filter_name == "kalman":
         obs = fit_linear_observation(Z, X)
     elif filter_name in ("ekf", "ukf"):
-        obs = fit_mlp_observation(Z, X, rng.derive(_PURPOSE[filter_name]))
+        obs = fit_mlp_observation(Z, X, rng.derive(_PURPOSE[filter_name]), filter_name)
     elif filter_name in ("dkf-gp", "dkf-gp-freq", "dkf-nn"):
         obs = build_dkf_variant(
             filter_name, dataset, rng.derive(_PURPOSE[filter_name]), gp_subsample_cap
@@ -352,11 +351,12 @@ def fit_cell(
     return FittedCell(filter_name, dyn, obs)
 
 
-def _run_cell(cell: FittedCell, dataset: TrajectoryDataset, stats: FilterStats):
+def run_cell(
+    cell: FittedCell, dataset: TrajectoryDataset, stats: FilterStats | None = None
+) -> list[GaussianBelief]:
+    """Decode the test segment with the recursion the cell's filter runs on."""
     kind = "dkf" if cell.filter_name.startswith("dkf") else cell.filter_name
-    extra = {"ukf_params": UKF_BENCH_PARAMS} if kind == "ukf" else {}
-    beliefs = run_filter(kind, dataset, cell.dyn, cell.obs, stats=stats, **extra)
-    return np.asarray([b.mean for b in beliefs])
+    return run_filter(kind, dataset, cell.dyn, cell.obs, stats=stats)
 
 
 def _trial_dataset(config: BenchmarkConfig, trial: int, csv_full: TrajectoryDataset | None):
@@ -418,7 +418,7 @@ def run_benchmark(config: BenchmarkConfig) -> MetricReport:
                 cell = fit_cell(name, ds, trial_rng, dyn=dyn, gp_subsample_cap=config.gp_subsample_cap)
                 t1 = time.perf_counter()
                 stats = FilterStats()
-                means = _run_cell(cell, ds, stats)
+                means = np.asarray([b.mean for b in run_cell(cell, ds, stats)])
                 t2 = time.perf_counter()
                 nmse = normalized_mse(means, ds.test_states)
                 totals.merge(stats)
@@ -537,42 +537,36 @@ def emit_trace(beliefs: list[GaussianBelief], truth: np.ndarray, path) -> None:
 # fitted-model files
 
 
+# How spec fields go to and come from bundle JSON; other fields are arrays.
+# The regressor is stored as h_model (ekf/ukf forward map) or f_model (DKF
+# mean), and q as its matrix under Q.
+_ENCODE = {"model": model_to_dict, "q": lambda q: q.matrix.tolist(), "ukf_params": asdict}
+_DECODE = {"model": model_from_dict, "q": QEstimate.constant, "ukf_params": lambda p: UkfParameters(**p)}
+_FIELD = {"h_model": "model", "f_model": "model", "Q": "q"}
+
+
 def save_model_bundle(cell: FittedCell, path) -> None:
-    """JSON bundle from which the exact filter setup can be reloaded."""
+    """JSON bundle from which the exact filter setup can be reloaded: the
+    dynamics and the spec the observation model was built from (its meta)."""
+    name = cell.filter_name
+    spec = getattr(cell.obs, "meta", None) or {}
+    if spec.get("kind") != name:
+        raise ValueError(f"{name} bundles need an observation model built by fitted_observation")
+    keys = {"model": "f_model" if name.startswith("dkf") else "h_model", "q": "Q"}
     dyn = cell.dyn
     payload = {
         "format_version": 1,
-        "filter": cell.filter_name,
+        "filter": name,
         "dynamics": {
             "A": dyn.A.tolist(),
             "Gamma": dyn.Gamma.tolist(),
             "S": dyn.S.tolist(),
         },
+        "observation": {
+            keys.get(field, field): _ENCODE.get(field, lambda v: np.asarray(v).tolist())(spec[field])
+            for field in SPEC_FIELDS[name]
+        },
     }
-    obs = cell.obs
-    if cell.filter_name == "kalman":
-        payload["observation"] = {
-            "H": obs.H.tolist(),
-            "Lambda": obs.Lambda.tolist(),
-            "offset": obs.offset.tolist(),
-        }
-    elif cell.filter_name in ("ekf", "ukf"):
-        meta = obs.meta or {}
-        if "model" not in meta:
-            raise ValueError("ekf/ukf bundles need the fitted forward model in obs.meta")
-        payload["observation"] = {
-            "h_model": model_to_dict(meta["model"]),
-            "Lambda": obs.Lambda.tolist(),
-        }
-    else:
-        meta = obs.meta or {}
-        payload["observation"] = {"f_model": model_to_dict(meta["model"])}
-        q = meta.get("q")
-        if q is not None and q.matrix is not None:
-            payload["observation"]["Q"] = np.asarray(q.matrix).tolist()
-        if "q_edges" in meta:
-            payload["observation"]["q_edges"] = np.asarray(meta["q_edges"]).tolist()
-            payload["observation"]["q_scales"] = np.asarray(meta["q_scales"]).tolist()
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
@@ -581,34 +575,8 @@ def load_model_bundle(path) -> FittedCell:
     dyn_spec = payload["dynamics"]
     dyn = LinearGaussianDynamics(dyn_spec["A"], dyn_spec["Gamma"], dyn_spec["S"])
     name = payload["filter"]
-    spec = payload["observation"]
-    if name == "kalman":
-        obs = GenerativeObservationModel.linear(spec["H"], spec["Lambda"], spec["offset"])
-    elif name in ("ekf", "ukf"):
-        mlp = model_from_dict(spec["h_model"])
-        obs = GenerativeObservationModel(
-            h=lambda z: mlp_predict(mlp, z),
-            Lambda=np.asarray(spec["Lambda"], float),
-        )
-    elif name in ("dkf-gp", "dkf-gp-freq", "dkf-nn"):
-        model = model_from_dict(spec["f_model"])
-        if name == "dkf-gp":
-            edges = np.asarray(spec.get("q_edges", np.zeros((model.d, 0))), float)
-            scales = np.asarray(spec.get("q_scales", np.ones((model.d, 1))), float)
-            obs = DiscriminativeObservationModel(
-                f=lambda x: gp_predict_mean(model, x),
-                Q=lambda x: np.diag(apply_q_calibration(gp_predict_q(model, x), edges, scales)),
-                meta={"kind": name, "model": model, "q_edges": edges, "q_scales": scales},
-            )
-        else:
-            Q = np.asarray(spec["Q"], float)
-            if name == "dkf-nn":
-                f = lambda x: mlp_predict(model, x)
-            else:
-                f = lambda x: gp_predict_mean(model, x)
-            obs = DiscriminativeObservationModel(
-                f=f, Q=lambda x: Q, meta={"kind": name, "model": model}
-            )
-    else:
-        raise ValueError(f"unknown filter {name!r} in bundle")
-    return FittedCell(name, dyn, obs)
+    spec = {"kind": name}
+    for key, value in payload["observation"].items():
+        field = _FIELD.get(key, key)
+        spec[field] = _DECODE.get(field, lambda v: np.asarray(v, float))(value)
+    return FittedCell(name, dyn, fitted_observation(spec))

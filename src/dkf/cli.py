@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +23,14 @@ from .bench import (
     ingest_csv,
     load_model_bundle,
     run_benchmark,
+    run_cell,
     save_model_bundle,
 )
-from .filters import DiscriminativeObservationModel, dkf_step, run_filter
+from .filters import DiscriminativeObservationModel, dkf_step
 from .oracle import grid_filter_run, stationary_grid
 from .statespace import (
     LinearGaussianDynamics,
     RandomSource,
-    fit_dynamics,
     generate_synthetic1,
     generate_synthetic2,
     save_dataset,
@@ -66,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_fit)
     p_fit.add_argument("--filters", help="comma-separated subset of " + ",".join(FILTER_NAMES))
     p_fit.add_argument("--gp-cap", type=int, help="GP training-row cap")
-    p_fit.add_argument("--trials", type=int, help="trial index space (fit uses trial 0)")
     p_fit.add_argument("--out", help="directory for model bundles")
     p_fit.add_argument("--config", help="key=value config file")
 
@@ -101,7 +99,7 @@ _DEFAULTS = {
                  "lag": 0, "csv_path": None, "d": None, "out": None},
     "fit": {"dataset": "syn1", "T": 10_000, "m": 5, "seed": 0, "split_fraction": 0.5,
             "lag": 0, "csv_path": None, "d": None, "filters": "kalman", "gp_cap": 1000,
-            "trials": 1, "out": None},
+            "out": None},
     "run": {"dataset": "syn1", "T": 10_000, "m": 5, "seed": 0, "split_fraction": 0.5,
             "lag": 0, "csv_path": None, "d": None, "model": None, "out": None},
     "bench": {"dataset": "syn1", "T": 10_000, "m": 5, "seed": 0, "split_fraction": 0.5,
@@ -178,10 +176,8 @@ def _cmd_fit(opts: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [f.strip() for f in opts["filters"].split(",") if f.strip()]
     rng = RandomSource(opts["seed"])
-    train = ds.train_states
-    dyn = fit_dynamics(list(zip(train[:-1], train[1:])))
     for name in names:
-        cell = fit_cell(name, ds, rng, dyn=dyn, gp_subsample_cap=opts["gp_cap"])
+        cell = fit_cell(name, ds, rng, gp_subsample_cap=opts["gp_cap"])
         path = out_dir / f"{name}.json"
         save_model_bundle(cell, path)
         print(f"wrote {path}")
@@ -194,9 +190,7 @@ def _cmd_run(opts: dict) -> int:
     if not opts["out"]:
         raise ValueError("run needs --out")
     ds = _dataset_from_options(opts)
-    cell = load_model_bundle(opts["model"])
-    kind = "dkf" if cell.filter_name.startswith("dkf") else cell.filter_name
-    beliefs = run_filter(kind, ds, cell.dyn, cell.obs)
+    beliefs = run_cell(load_model_bundle(opts["model"]), ds)
     emit_trace(beliefs, ds.test_states, opts["out"])
     print(f"wrote {len(beliefs)} steps to {opts['out']}")
     return 0
@@ -215,7 +209,6 @@ def _cmd_bench(opts: dict) -> int:
         lag=opts["lag"],
         gp_subsample_cap=opts["gp_cap"],
         split_fraction=opts["split_fraction"],
-        out=opts["out"],
     )
     report = run_benchmark(config)
     text = emit_report(report, format=opts["format"])

@@ -9,7 +9,7 @@ time t-1 plus the observation x_t to the belief for time t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -92,7 +92,8 @@ class GenerativeObservationModel:
 
     ``jacobian`` optionally supplies dh/dz for the EKF.  When h is affine,
     ``H`` and ``offset`` hold the exact linear form h(z) = H z + offset and
-    the Kalman step can use it directly.  ``meta`` is free-form provenance.
+    the Kalman step can use it directly.  ``ukf_params`` is the UKF's
+    sigma-point spread for this model.  ``meta`` is free-form provenance.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
@@ -100,6 +101,7 @@ class GenerativeObservationModel:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     H: np.ndarray | None = None
     offset: np.ndarray | None = None
+    ukf_params: UkfParameters | None = None
     meta: dict | None = None
 
     def __post_init__(self):
@@ -123,7 +125,7 @@ class GenerativeObservationModel:
             object.__setattr__(self, "offset", _readonly(np.atleast_1d(off)))
 
     @classmethod
-    def linear(cls, H, Lambda, offset=None) -> "GenerativeObservationModel":
+    def linear(cls, H, Lambda, offset=None, meta=None) -> "GenerativeObservationModel":
         H = np.atleast_2d(np.asarray(H, float))
         off = np.zeros(H.shape[0]) if offset is None else np.atleast_1d(np.asarray(offset, float))
         return cls(
@@ -132,6 +134,7 @@ class GenerativeObservationModel:
             jacobian=lambda z: H,
             H=H,
             offset=off,
+            meta=meta,
         )
 
 
@@ -277,8 +280,11 @@ def ukf_step(
     obs: GenerativeObservationModel,
     params: UkfParameters | None = None,
 ) -> GaussianBelief:
-    """Unscented update: propagate sigma points of the predicted belief through h."""
-    params = params or UkfParameters()
+    """Unscented update: propagate sigma points of the predicted belief through h.
+
+    The spread is params, else the model's ukf_params, else UkfParameters().
+    """
+    params = params or obs.ukf_params or UkfParameters()
     x = np.atleast_1d(np.asarray(x, float))
     pred_mean, M = _predict(belief, dyn)
     pts, wm, wc = sigma_points(pred_mean, M, params)
@@ -464,7 +470,6 @@ def run_filter(
     dyn: LinearGaussianDynamics,
     obs,
     *,
-    ukf_params: UkfParameters | None = None,
     stats: FilterStats | None = None,
 ) -> list[GaussianBelief]:
     """Run one filter over the test segment from the stationary prior N(0, S).
@@ -484,7 +489,7 @@ def run_filter(
     for i, x in enumerate(dataset.test_observations):
         try:
             if filter_kind == "ukf":
-                belief = ukf_step(belief, x, dyn, obs, ukf_params)
+                belief = ukf_step(belief, x, dyn, obs)
             elif filter_kind == "dkf":
                 belief = dkf_step(belief, x, dyn, obs, stats)
             else:

@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.spatial.distance
 
-from .filters import DiscriminativeObservationModel
+from .filters import DiscriminativeObservationModel, GenerativeObservationModel
 from .statespace import RandomSource, TrajectoryDataset, _readonly, spd_floor
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "mlp_predict",
     "fit_residual_Q",
     "build_dkf_variant",
+    "SPEC_FIELDS",
+    "fitted_observation",
     "save_model",
     "load_model",
     "model_to_dict",
@@ -478,11 +480,10 @@ def mlp_fit(
 
 @dataclass(frozen=True, eq=False)
 class QEstimate:
-    """Covariance model for the discriminative update.
+    """Constant covariance model for the discriminative update.
 
-    kind is "diagonal-from-gp" (x-dependent, from the GP predictive
-    variances) or "constant-from-residuals" (one SPD matrix for all x,
-    stored in ``matrix``).
+    kind is "constant-from-residuals": one SPD matrix for all x, stored in
+    ``matrix`` and returned by ``value``.
     """
 
     kind: str
@@ -490,8 +491,13 @@ class QEstimate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("diagonal-from-gp", "constant-from-residuals"):
+        if self.kind != "constant-from-residuals":
             raise ValueError(f"unknown QEstimate kind {self.kind!r}")
+
+    @classmethod
+    def constant(cls, matrix) -> "QEstimate":
+        Qmat = _readonly(np.atleast_2d(matrix))
+        return cls("constant-from-residuals", value=lambda x: Qmat, matrix=Qmat)
 
 
 def fit_residual_Q(f_hat: Callable[[np.ndarray], np.ndarray], heldout) -> QEstimate:
@@ -509,8 +515,7 @@ def fit_residual_Q(f_hat: Callable[[np.ndarray], np.ndarray], heldout) -> QEstim
     resid = np.empty((n, d))
     for i, (x, _) in enumerate(pairs):
         resid[i] = np.atleast_1d(f_hat(np.asarray(x, float))) - Z[i]
-    Qmat = _readonly(spd_floor(resid.T @ resid / n))
-    return QEstimate("constant-from-residuals", value=lambda x: Qmat, matrix=Qmat)
+    return QEstimate.constant(spd_floor(resid.T @ resid / n))
 
 
 _GP_VAL_CAP = 750
@@ -614,6 +619,50 @@ def apply_q_calibration(q: np.ndarray, edges: np.ndarray, scales: np.ndarray) ->
     return out
 
 
+# The fields a fitted-model spec carries besides ``kind``, per filter, in
+# bundle order.  ``model`` is the fitted regressor, ``q`` a constant QEstimate.
+SPEC_FIELDS = {
+    "kalman": ("H", "Lambda", "offset"),
+    "ekf": ("model", "Lambda"),
+    "ukf": ("model", "Lambda", "ukf_params"),
+    "dkf-gp": ("model", "q_edges", "q_scales"),
+    "dkf-gp-freq": ("model", "q"),
+    "dkf-nn": ("model", "q"),
+}
+
+
+def fitted_observation(spec: dict):
+    """The observation model a fitted-model spec describes.
+
+    A spec is plain data: ``kind`` (a filter name) plus the fields SPEC_FIELDS
+    lists for it.  It becomes the model's ``meta``, so the model alone saves.
+    """
+    kind = spec.get("kind")
+    if kind not in SPEC_FIELDS:
+        raise ValueError(f"unknown fitted-model kind {kind!r}, expected one of {list(SPEC_FIELDS)}")
+    missing = [key for key in SPEC_FIELDS[kind] if key not in spec]
+    if missing:
+        raise ValueError(f"{kind} model spec is missing {missing}")
+    model = spec.get("model")
+    if kind == "kalman":
+        return GenerativeObservationModel.linear(spec["H"], spec["Lambda"], spec["offset"], meta=spec)
+    if kind in ("ekf", "ukf"):
+        return GenerativeObservationModel(
+            h=lambda z: mlp_predict(model, z), Lambda=spec["Lambda"],
+            ukf_params=spec.get("ukf_params"), meta=spec,
+        )
+    if kind == "dkf-gp":
+        edges, scales = spec["q_edges"], spec["q_scales"]
+        Q = lambda x: np.diag(apply_q_calibration(gp_predict_q(model, x), edges, scales))
+    else:
+        Q = spec["q"].value
+    if kind == "dkf-nn":
+        f = lambda x: mlp_predict(model, x)
+    else:
+        f = lambda x: gp_predict_mean(model, x)
+    return DiscriminativeObservationModel(f=f, Q=Q, meta=spec)
+
+
 _DKF_KINDS = ("dkf-gp", "dkf-gp-freq", "dkf-nn")
 
 
@@ -642,40 +691,22 @@ def build_dkf_variant(
         val_sel, val_cal = _carve_validation(X, Z, keep, rng.derive(3), parts=2)
         gp = gp_fit(Xf, Zf, validation=val_sel)
         edges, scales = _q_calibration(gp, val_cal)
-        q = QEstimate(
-            "diagonal-from-gp",
-            value=lambda x: np.diag(apply_q_calibration(gp_predict_q(gp, x), edges, scales)),
-        )
-        return DiscriminativeObservationModel(
-            f=lambda x: gp_predict_mean(gp, x),
-            Q=q.value,
-            meta={"kind": kind, "model": gp, "q": q, "q_edges": edges,
-                  "q_scales": scales, "fit_rows": Xf.shape[0]},
-        )
+        return fitted_observation({"kind": kind, "model": gp, "q_edges": edges, "q_scales": scales})
     if kind == "dkf-gp-freq":
-        holdout = max(1, n // 5)
-        cut = n - holdout
+        cut = n - max(1, n // 5)
         if cut < 2:
             raise InsufficientData(f"training segment too small to carve a holdout ({n} rows)")
         Xf, Zf, keep = _subsample(X[:cut], Z[:cut], gp_subsample_cap, rng.derive(1))
         val_sel, = _carve_validation(X[:cut], Z[:cut], keep, rng.derive(3))
-        gp = gp_fit(Xf, Zf, validation=val_sel)
-        q = fit_residual_Q(
-            lambda x: gp_predict_mean(gp, x), list(zip(X[cut:], Z[cut:]))
-        )
-        return DiscriminativeObservationModel(
-            f=lambda x: gp_predict_mean(gp, x),
-            Q=q.value,
-            meta={"kind": kind, "model": gp, "q": q, "fit_rows": Xf.shape[0], "holdout_rows": holdout},
-        )
-    mlp = mlp_fit(X, Z, rng.derive(2))
-    hold = mlp.holdout_indices
-    q = fit_residual_Q(lambda x: mlp_predict(mlp, x), list(zip(X[hold], Z[hold])))
-    return DiscriminativeObservationModel(
-        f=lambda x: mlp_predict(mlp, x),
-        Q=q.value,
-        meta={"kind": kind, "model": mlp, "q": q, "holdout_rows": int(hold.shape[0])},
-    )
+        model = gp_fit(Xf, Zf, validation=val_sel)
+        heldout = list(zip(X[cut:], Z[cut:]))
+        f_hat = lambda x: gp_predict_mean(model, x)
+    else:
+        model = mlp_fit(X, Z, rng.derive(2))
+        hold = model.holdout_indices
+        heldout = list(zip(X[hold], Z[hold]))
+        f_hat = lambda x: mlp_predict(model, x)
+    return fitted_observation({"kind": kind, "model": model, "q": fit_residual_Q(f_hat, heldout)})
 
 
 # ---------------------------------------------------------------------------

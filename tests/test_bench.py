@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dkf.bench import (
     load_model_bundle,
     normalized_mse,
     run_benchmark,
+    run_cell,
     save_model_bundle,
 )
 from dkf.filters import run_filter
@@ -377,21 +380,33 @@ def test_emit_trace_length_mismatch(tmp_path):
 # model bundles
 
 
-@pytest.mark.parametrize("name", ["kalman", "ekf", "dkf-gp", "dkf-gp-freq", "dkf-nn"])
+@pytest.mark.parametrize("name", FILTER_NAMES)
 def test_model_bundle_round_trip(name, tmp_path):
     ds = generate_synthetic2(240, RandomSource(6))
     cell = fit_cell(name, ds, RandomSource(77))
-    path = tmp_path / f"{name}.json"
-    save_model_bundle(cell, path)
-    loaded = load_model_bundle(path)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model_bundle(cell, first)
+    save_model_bundle(load_model_bundle(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    loaded = load_model_bundle(second)
     assert loaded.filter_name == name
     assert np.allclose(loaded.dyn.A, cell.dyn.A, atol=1e-15)
+    # replay the reloaded bundle as `dkf run` does, against the decode bench scores
     kind = "dkf" if name.startswith("dkf") else name
-    a = run_filter(kind, ds, cell.dyn, cell.obs)
-    b = run_filter(kind, ds, loaded.dyn, loaded.obs)
-    means_a = np.asarray([s.mean for s in a])
-    means_b = np.asarray([s.mean for s in b])
-    assert np.allclose(means_a, means_b, atol=1e-12)
+    scored = np.asarray([s.mean for s in run_cell(cell, ds)])
+    replayed = np.asarray([s.mean for s in run_filter(kind, ds, loaded.dyn, loaded.obs)])
+    assert np.allclose(replayed, scored, rtol=0.0, atol=1e-12)
+
+
+def test_ukf_bundle_without_spread_is_rejected(tmp_path):
+    ds = generate_synthetic2(240, RandomSource(6))
+    path = tmp_path / "ukf.json"
+    save_model_bundle(fit_cell("ukf", ds, RandomSource(77)), path)
+    payload = json.loads(path.read_text())
+    del payload["observation"]["ukf_params"]
+    path.write_text(json.dumps(payload) + "\n")
+    with pytest.raises(ValueError, match="ukf_params"):
+        load_model_bundle(path)
 
 
 def test_bundle_rejects_unknown_filter(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dkf.bench import ingest_csv, load_model_bundle
+from dkf.bench import FILTER_NAMES, BenchmarkConfig, ingest_csv, load_model_bundle, run_benchmark
 from dkf.cli import build_parser, main
 from dkf.statespace import RandomSource, generate_synthetic1, save_dataset
 
@@ -113,6 +113,28 @@ def test_fit_then_run_produces_trace(tmp_path, capsys):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "t,truth_1,mean_1,sd_1"
     assert len(lines) == 121
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_fit_then_run_matches_bench(name, tmp_path, capsys):
+    data = ["--dataset", "syn2", "--T", "300", "--seed", "3"]
+    code, _, err = _run(
+        capsys, "fit", *data, "--filters", name, "--gp-cap", "60", "--out", str(tmp_path)
+    )
+    assert code == 0, err
+    trace = tmp_path / "trace.csv"
+    code, _, err = _run(
+        capsys, "run", *data, "--model", str(tmp_path / f"{name}.json"), "--out", str(trace)
+    )
+    assert code == 0, err
+    header, *rows = trace.read_text().strip().splitlines()
+    col = header.split(",").index("mean_1")
+    means = np.asarray([row.split(",")[col] for row in rows], float)
+    report = run_benchmark(BenchmarkConfig(
+        dataset="syn2", T=300, trials=1, filters=(name,), seed=3, gp_subsample_cap=60
+    ))
+    assert report.results[0].error is None
+    assert np.allclose(means, report.results[0].means[:, 0], rtol=0.0, atol=1e-12)
 
 
 def test_run_requires_model_and_out(tmp_path, capsys):

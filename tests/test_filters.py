@@ -515,12 +515,20 @@ def test_run_filter_attaches_failing_index():
 
 
 def test_run_filter_ukf_params_forwarded():
+    # the spread comes in on the observation model and reaches every step
     ds, dyn, _ = _linear_dataset(T=30)
-    obs = GenerativeObservationModel(h=lambda z: np.tanh(1.5 * z), Lambda=[[0.09]])
+    h = lambda z: np.tanh(1.5 * z)
+    tight_params = UkfParameters(alpha=1e-3, beta=2.0, kappa=0.0)
+    obs = GenerativeObservationModel(h=h, Lambda=[[0.09]])
+    tight_obs = GenerativeObservationModel(h=h, Lambda=[[0.09]], ukf_params=tight_params)
     default = run_filter("ukf", ds, dyn, obs)
-    tight = run_filter("ukf", ds, dyn, obs, ukf_params=UkfParameters(alpha=1e-3, beta=2.0, kappa=0.0))
+    tight = run_filter("ukf", ds, dyn, tight_obs)
     gap = max(abs(a.mean[0] - b.mean[0]) for a, b in zip(default, tight))
     assert gap > 1e-6
+    belief = dyn.stationary_belief()
+    for x, b in zip(ds.test_observations, tight):
+        belief = ukf_step(belief, x, dyn, obs, tight_params)
+        assert np.array_equal(belief.mean, b.mean)
 
 
 # ---------------------------------------------------------------------------

@@ -350,8 +350,8 @@ def test_dkf_gp_q_is_diagonal():
 def test_dkf_gp_freq_uses_contiguous_last_fifth():
     ds = _toy_dataset(n_train=50)
     model = build_dkf_variant("dkf-gp-freq", ds, RandomSource(2))
-    assert model.meta["fit_rows"] == 40
-    assert model.meta["holdout_rows"] == 10
+    # the GP is fit on the first 40 rows, so the holdout is the last 10
+    assert model.meta["model"].n == 40
     # reproduce the residual covariance from the fitted GP and the last 10 rows
     gp = model.meta["model"]
     X, Z = ds.train_observations, ds.train_states
@@ -373,7 +373,7 @@ def test_dkf_nn_q_constant_across_probes():
 def test_dkf_gp_subsample_cap_applies():
     ds = _toy_dataset(n_train=60)
     model = build_dkf_variant("dkf-gp", ds, RandomSource(4), gp_subsample_cap=25)
-    assert model.meta["fit_rows"] == 25
+    assert model.meta["model"].n == 25
 
 
 # ---------------------------------------------------------------------------
