@@ -396,14 +396,6 @@ def run_benchmark(config: BenchmarkConfig) -> MetricReport:
     for trial in range(config.trials):
         try:
             ds = _trial_dataset(config, trial, csv_full)
-        except Exception as exc:
-            for name in config.filters:
-                report.results.append(
-                    TrialResult(name, trial, None, error=f"{type(exc).__name__}: {exc}")
-                )
-            continue
-        trial_rng = RandomSource(config.seed + trial)
-        try:
             train = ds.train_states
             dyn = fit_dynamics(list(zip(train[:-1], train[1:])))
         except Exception as exc:
@@ -412,6 +404,7 @@ def run_benchmark(config: BenchmarkConfig) -> MetricReport:
                     TrialResult(name, trial, None, error=f"{type(exc).__name__}: {exc}")
                 )
             continue
+        trial_rng = RandomSource(config.seed + trial)
         for name in config.filters:
             t0 = time.perf_counter()
             try:

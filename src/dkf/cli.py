@@ -38,9 +38,12 @@ from .statespace import (
 
 __all__ = ["main", "build_parser"]
 
+# the allowed values of a flag, also enforced on config-file values
+_CHOICES = {"dataset": ("syn1", "syn2", "csv"), "format": ("csv", "table")}
+
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", choices=["syn1", "syn2", "csv"], help="data source")
+    p.add_argument("--dataset", choices=_CHOICES["dataset"], help="data source")
     p.add_argument("--csv-path", help="CSV file for --dataset csv")
     p.add_argument("--d", type=int, help="state dimension (headerless CSV only)")
     p.add_argument("--m", type=int, help="observation dimension (syn1 channels / headerless CSV)")
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--filters", help="comma-separated subset of " + ",".join(FILTER_NAMES))
     p_bench.add_argument("--trials", type=int, help="number of trials")
     p_bench.add_argument("--gp-cap", type=int, help="GP training-row cap")
-    p_bench.add_argument("--format", choices=["csv", "table"], help="report format")
+    p_bench.add_argument("--format", choices=_CHOICES["format"], help="report format")
     p_bench.add_argument("--out", help="report path (stdout when omitted)")
     p_bench.add_argument("--config", help="key=value config file")
 
@@ -126,6 +129,9 @@ def _load_config_file(path: str) -> dict:
         if not sep or key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{lineno}: cannot parse {line!r}")
         out[key] = _CONFIG_TYPES[key](value.strip())
+        if key in _CHOICES and out[key] not in _CHOICES[key]:
+            choices = ", ".join(_CHOICES[key])
+            raise ValueError(f"{path}:{lineno}: {key} must be one of {choices}, got {out[key]!r}")
     return out
 
 

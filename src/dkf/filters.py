@@ -10,6 +10,7 @@ time t-1 plus the observation x_t to the belief for time t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -21,14 +22,15 @@ from .statespace import (
     LinearGaussianDynamics,
     TrajectoryDataset,
     _readonly,
+    _require_spd,
 )
 
 __all__ = [
     "SingularInnovation",
-    "JacobianUnavailable",
     "CholeskyFailure",
     "InvalidPosterior",
     "NoConvergence",
+    "FilterStepError",
     "DiscriminativeObservationModel",
     "GenerativeObservationModel",
     "UkfParameters",
@@ -52,10 +54,6 @@ class SingularInnovation(Exception):
     """Innovation covariance is not invertible at working precision."""
 
 
-class JacobianUnavailable(Exception):
-    """EKF asked for a Jacobian but none was supplied and finite differences were disabled."""
-
-
 class CholeskyFailure(Exception):
     """A matrix that must be PD for sigma-point generation failed factorization."""
 
@@ -66,6 +64,24 @@ class InvalidPosterior(Exception):
 
 class NoConvergence(Exception):
     """Fixed-point iteration did not reach tolerance within the step budget."""
+
+
+class FilterStepError(Exception):
+    """A run_filter step failed: names the filter, the test-segment index and
+    the absolute time t of the step; the step's own error is the __cause__."""
+
+    def __init__(self, filter_kind: str, index: int, t: int):
+        super().__init__(filter_kind, index, t)
+        self.filter_kind = filter_kind
+        self.index = index
+        self.t = t
+
+    def __str__(self) -> str:
+        msg = f"{self.filter_kind} failed at test index {self.index} (t={self.t})"
+        cause = self.__cause__
+        if cause is not None:
+            msg += f": {type(cause).__name__}: {cause}"
+        return msg
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -108,13 +124,7 @@ class GenerativeObservationModel:
         Lam = _readonly(np.atleast_2d(np.asarray(self.Lambda, float)))
         if Lam.shape[0] != Lam.shape[1]:
             raise ValueError("Lambda must be square")
-        scale = max(float(np.abs(Lam).max()), 1.0)
-        if float(np.abs(Lam - Lam.T).max()) > 1e-12 * scale:
-            raise ValueError("Lambda is not symmetric")
-        try:
-            np.linalg.cholesky(Lam)
-        except np.linalg.LinAlgError:
-            raise ValueError("Lambda is not positive definite") from None
+        _require_spd(Lam, "Lambda")
         object.__setattr__(self, "Lambda", Lam)
         if self.H is not None:
             H = _readonly(np.atleast_2d(np.asarray(self.H, float)))
@@ -185,6 +195,17 @@ def _innovation_factor(S_innov: np.ndarray):
         ) from None
 
 
+def _affine_update(pred_mean, M, H, y_pred, x, Lambda) -> GaussianBelief:
+    """Gain-form update of the prediction N(pred_mean, M) by an observation
+    x ~ N(y_pred + H (z - pred_mean), Lambda), affine around the prediction."""
+    S_innov = _sym(H @ M @ H.T + Lambda)
+    factor = _innovation_factor(S_innov)
+    gain = scipy.linalg.cho_solve(factor, H @ M).T
+    mean = pred_mean + gain @ (x - y_pred)
+    cov = _sym((np.eye(pred_mean.shape[0]) - gain @ H) @ M)
+    return GaussianBelief(mean, cov)
+
+
 def kalman_step(
     belief: GaussianBelief,
     x: np.ndarray,
@@ -196,14 +217,7 @@ def kalman_step(
         raise ValueError("kalman_step needs an affine observation model (H set)")
     x = np.atleast_1d(np.asarray(x, float))
     pred_mean, M = _predict(belief, dyn)
-    H = obs.H
-    S_innov = _sym(H @ M @ H.T + obs.Lambda)
-    factor = _innovation_factor(S_innov)
-    gain = scipy.linalg.cho_solve(factor, H @ M).T
-    innov = x - (H @ pred_mean + obs.offset)
-    mean = pred_mean + gain @ innov
-    cov = _sym((np.eye(belief.d) - gain @ H) @ M)
-    return GaussianBelief(mean, cov)
+    return _affine_update(pred_mean, M, obs.H, obs.H @ pred_mean + obs.offset, x, obs.Lambda)
 
 
 def finite_difference_jacobian(
@@ -227,24 +241,15 @@ def ekf_step(
     x: np.ndarray,
     dyn: LinearGaussianDynamics,
     obs: GenerativeObservationModel,
-    finite_diff: bool = True,
 ) -> GaussianBelief:
     """First-order linearization of h at the predicted mean."""
     x = np.atleast_1d(np.asarray(x, float))
     pred_mean, M = _predict(belief, dyn)
     if obs.jacobian is not None:
         H = np.atleast_2d(obs.jacobian(pred_mean))
-    elif finite_diff:
-        H = finite_difference_jacobian(obs.h, pred_mean)
     else:
-        raise JacobianUnavailable("no jacobian supplied and finite differences disabled")
-    S_innov = _sym(H @ M @ H.T + obs.Lambda)
-    factor = _innovation_factor(S_innov)
-    gain = scipy.linalg.cho_solve(factor, H @ M).T
-    innov = x - np.atleast_1d(obs.h(pred_mean))
-    mean = pred_mean + gain @ innov
-    cov = _sym((np.eye(belief.d) - gain @ H) @ M)
-    return GaussianBelief(mean, cov)
+        H = finite_difference_jacobian(obs.h, pred_mean)
+    return _affine_update(pred_mean, M, H, np.atleast_1d(obs.h(pred_mean)), x, obs.Lambda)
 
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray, params: UkfParameters):
@@ -278,13 +283,12 @@ def ukf_step(
     x: np.ndarray,
     dyn: LinearGaussianDynamics,
     obs: GenerativeObservationModel,
-    params: UkfParameters | None = None,
 ) -> GaussianBelief:
     """Unscented update: propagate sigma points of the predicted belief through h.
 
-    The spread is params, else the model's ukf_params, else UkfParameters().
+    The spread is the model's ukf_params, else UkfParameters().
     """
-    params = params or obs.ukf_params or UkfParameters()
+    params = obs.ukf_params or UkfParameters()
     x = np.atleast_1d(np.asarray(x, float))
     pred_mean, M = _predict(belief, dyn)
     pts, wm, wc = sigma_points(pred_mean, M, params)
@@ -456,14 +460,6 @@ def discriminative_from_linear(
     )
 
 
-_STEPS = {
-    "kalman": kalman_step,
-    "ekf": ekf_step,
-    "ukf": ukf_step,
-    "dkf": dkf_step,
-}
-
-
 def run_filter(
     filter_kind: str,
     dataset: TrajectoryDataset,
@@ -474,29 +470,29 @@ def run_filter(
 ) -> list[GaussianBelief]:
     """Run one filter over the test segment from the stationary prior N(0, S).
 
-    filter_kind is one of kalman | ekf | ukf | dkf.  Any step failure is
-    re-raised with the test-segment index and absolute time attached.
+    filter_kind is one of kalman | ekf | ukf | dkf.  Any step failure raises
+    FilterStepError naming the filter and step, chained to the step's error.
     """
-    if filter_kind not in _STEPS:
+    # built per call, so that a step replaced on this module (a timing
+    # wrapper, say) is the one the run uses
+    steps = {
+        "kalman": (kalman_step, GenerativeObservationModel),
+        "ekf": (ekf_step, GenerativeObservationModel),
+        "ukf": (ukf_step, GenerativeObservationModel),
+        "dkf": (partial(dkf_step, stats=stats), DiscriminativeObservationModel),
+    }
+    if filter_kind not in steps:
         raise ValueError(f"unknown filter kind {filter_kind!r}")
-    if filter_kind == "dkf":
-        if not isinstance(obs, DiscriminativeObservationModel):
-            raise TypeError("dkf needs a DiscriminativeObservationModel")
-    elif not isinstance(obs, GenerativeObservationModel):
-        raise TypeError(f"{filter_kind} needs a GenerativeObservationModel")
+    step, model_type = steps[filter_kind]
+    if not isinstance(obs, model_type):
+        raise TypeError(f"{filter_kind} needs a {model_type.__name__}")
     belief = dyn.stationary_belief()
     out: list[GaussianBelief] = []
     for i, x in enumerate(dataset.test_observations):
         try:
-            if filter_kind == "ukf":
-                belief = ukf_step(belief, x, dyn, obs)
-            elif filter_kind == "dkf":
-                belief = dkf_step(belief, x, dyn, obs, stats)
-            else:
-                belief = _STEPS[filter_kind](belief, x, dyn, obs)
+            belief = step(belief, x, dyn, obs)
         except Exception as exc:
-            t = dataset.split_index + i
-            raise type(exc)(f"{filter_kind} failed at test index {i} (t={t}): {exc}") from exc
+            raise FilterStepError(filter_kind, i, dataset.split_index + i) from exc
         out.append(belief)
     return out
 

@@ -162,13 +162,7 @@ class GaussianBelief:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"covariance shape {cov.shape} does not match mean length {d}")
-        scale = max(float(np.abs(cov).max()), 1.0)
-        if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
-            raise ValueError("covariance is not symmetric")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance is not positive definite") from None
+        _require_spd(cov, "covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 

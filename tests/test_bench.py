@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +415,24 @@ def test_bundle_rejects_unknown_filter(tmp_path):
     path.write_text('{"filter": "smoother", "dynamics": {"A": [[0.5]], "Gamma": [[1.0]], "S": [[1.3333333333333333]]}, "observation": {}}\n')
     with pytest.raises(ValueError):
         load_model_bundle(path)
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+
+
+def test_perfbench_tracer_reaches_the_step_functions(monkeypatch):
+    # perfbench/tracer.py times the program by replacing module attributes;
+    # a step bound at import time, or a wrapped name that goes away, shows here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    cfg = BenchmarkConfig(
+        dataset="syn2", T=200, trials=1, filters=("kalman", "ekf", "ukf", "dkf-nn"), seed=0
+    )
+    with tracer.Tracer(full=True) as tr:
+        report = run_benchmark(cfg)
+    assert not [r.error for r in report.results if r.error]
+    names = {span[0] for span in tr.spans}
+    assert {"filters.ukf_step", "filters.dkf_step", "filters.regularize_Q"} <= names
+    assert sum(span[0] == "filters.ukf_step" for span in tr.spans) == 100

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dkf.bench import FILTER_NAMES, BenchmarkConfig, ingest_csv, load_model_bundle, run_benchmark
+from dkf import cli
 from dkf.cli import build_parser, main
 from dkf.statespace import RandomSource, generate_synthetic1, save_dataset
 
@@ -249,6 +250,25 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     payload = _stderr_json(err)
     assert payload["error"] == "ValueError"
     assert "banana" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command, line, key",
+    [("bench", "format = xml", "format"), ("fit", "dataset = syn3", "dataset")],
+)
+def test_config_file_values_get_the_flag_choices(command, line, key, tmp_path, capsys, monkeypatch):
+    # a value the flag's choices reject is refused before any data is made or fitted
+    calls = []
+    for name in ("run_benchmark", "fit_cell", "ingest_csv", "generate_synthetic1", "generate_synthetic2"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: calls.append(_n))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"T = 40\n{line}\n")
+    code, stdout, err = _run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1 and stdout == ""
+    payload = _stderr_json(err)
+    assert payload["error"] == "ValueError"
+    assert key in payload["message"]
+    assert calls == []
 
 
 def test_errors_are_json_on_stderr(tmp_path, capsys):

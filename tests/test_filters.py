@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -10,9 +11,9 @@ from dkf.filters import (
     CholeskyFailure,
     DiscriminativeObservationModel,
     FilterStats,
+    FilterStepError,
     GenerativeObservationModel,
     InvalidPosterior,
-    JacobianUnavailable,
     UkfParameters,
     discriminative_from_linear,
     dkf_steady_state_covariance,
@@ -165,13 +166,6 @@ def test_ekf_finite_difference_jacobian_accuracy():
     assert np.allclose(H, expect, atol=1e-8)
 
 
-def test_ekf_jacobian_unavailable():
-    dyn = ar1_dynamics()
-    obs = GenerativeObservationModel(h=lambda z: np.tanh(z), Lambda=[[1.0]])
-    with pytest.raises(JacobianUnavailable):
-        ekf_step(dyn.stationary_belief(), np.array([0.1]), dyn, obs, finite_diff=False)
-
-
 # ---------------------------------------------------------------------------
 # ukf_step
 
@@ -213,7 +207,7 @@ def test_ukf_linear_equals_kalman_any_parameters(params):
     belief = GaussianBelief(rng.standard_normal(2), np.eye(2) * 0.8)
     x = rng.standard_normal(2)
     kf = kalman_step(belief, x, dyn, obs)
-    uf = ukf_step(belief, x, dyn, obs, params)
+    uf = ukf_step(belief, x, dyn, dataclasses.replace(obs, ukf_params=params))
     assert np.allclose(kf.mean, uf.mean, atol=1e-8)
     assert np.allclose(kf.covariance, uf.covariance, atol=1e-8)
 
@@ -510,8 +504,30 @@ def test_run_filter_attaches_failing_index():
 
     # NaN mean fails GaussianBelief validation inside the third step
     obs = DiscriminativeObservationModel(f=bad_f, Q=lambda x: np.array([[0.5]]))
-    with pytest.raises(ValueError, match=r"dkf failed at test index 2 \(t=8\)"):
+    with pytest.raises(FilterStepError, match=r"dkf failed at test index 2 \(t=8\)"):
         run_filter("dkf", ds, dyn, obs)
+
+
+class _TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+def test_run_filter_step_error_keeps_cause_of_any_signature():
+    # an exception whose constructor needs two arguments reaches the caller
+    # as the cause of a FilterStepError that names the filter and step
+    ds, dyn, _ = _linear_dataset(T=12)
+
+    def h(z):
+        raise _TwoArgError(7, "sensor offline")
+
+    bad = GenerativeObservationModel(h=h, Lambda=[[0.09]])
+    with pytest.raises(FilterStepError, match=r"ekf failed at test index 0 \(t=6\): _TwoArgError") as info:
+        run_filter("ekf", ds, dyn, bad)
+    err = info.value
+    assert (err.filter_kind, err.index, err.t) == ("ekf", 0, 6)
+    assert isinstance(err.__cause__, _TwoArgError)
+    assert err.__cause__.args == (7, "sensor offline")
 
 
 def test_run_filter_ukf_params_forwarded():
@@ -527,7 +543,7 @@ def test_run_filter_ukf_params_forwarded():
     assert gap > 1e-6
     belief = dyn.stationary_belief()
     for x, b in zip(ds.test_observations, tight):
-        belief = ukf_step(belief, x, dyn, obs, tight_params)
+        belief = ukf_step(belief, x, dyn, tight_obs)
         assert np.array_equal(belief.mean, b.mean)
 
 
