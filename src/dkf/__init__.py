@@ -10,7 +10,6 @@ from .statespace import (
     fit_dynamics,
     generate_synthetic1,
     generate_synthetic2,
-    load_dataset,
     save_dataset,
     simulate_states,
     solve_stationary_covariance,
@@ -26,7 +25,6 @@ __all__ = [
     "fit_dynamics",
     "generate_synthetic1",
     "generate_synthetic2",
-    "load_dataset",
     "save_dataset",
     "simulate_states",
     "solve_stationary_covariance",

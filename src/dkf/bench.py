@@ -534,7 +534,7 @@ def emit_trace(beliefs: list[GaussianBelief], truth: np.ndarray, path) -> None:
 # The regressor is stored as h_model (ekf/ukf forward map) or f_model (DKF
 # mean), and q as its matrix under Q.
 _ENCODE = {"model": model_to_dict, "q": lambda q: q.matrix.tolist(), "ukf_params": asdict}
-_DECODE = {"model": model_from_dict, "q": QEstimate.constant, "ukf_params": lambda p: UkfParameters(**p)}
+_DECODE = {"model": model_from_dict, "q": QEstimate, "ukf_params": lambda p: UkfParameters(**p)}
 _FIELD = {"h_model": "model", "f_model": "model", "Q": "q"}
 
 

@@ -128,7 +128,13 @@ def _load_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if not sep or key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{lineno}: cannot parse {line!r}")
-        out[key] = _CONFIG_TYPES[key](value.strip())
+        cast = _CONFIG_TYPES[key]
+        try:
+            out[key] = cast(value.strip())
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be {cast.__name__}, got {value.strip()!r}"
+            ) from None
         if key in _CHOICES and out[key] not in _CHOICES[key]:
             choices = ", ".join(_CHOICES[key])
             raise ValueError(f"{path}:{lineno}: {key} must be one of {choices}, got {out[key]!r}")

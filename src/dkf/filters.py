@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "sigma_points",
     "finite_difference_jacobian",
     "run_filter",
-    "save_beliefs",
-    "load_beliefs",
 ]
 
 
@@ -93,8 +90,8 @@ class DiscriminativeObservationModel:
     """Learned approximation of p(z | x) as N(f(x), Q(x)).
 
     f maps an observation (m,) to a state-space mean (d,); Q maps it to a
-    (d, d) covariance.  ``meta`` is free-form provenance (fit sizes, model
-    kind) carried along for reports.
+    (d, d) covariance.  ``meta`` is the fitted-model spec the model was
+    built from (see ``regression.fitted_observation``); bundles save it.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -109,7 +106,9 @@ class GenerativeObservationModel:
     ``jacobian`` optionally supplies dh/dz for the EKF.  When h is affine,
     ``H`` and ``offset`` hold the exact linear form h(z) = H z + offset and
     the Kalman step can use it directly.  ``ukf_params`` is the UKF's
-    sigma-point spread for this model.  ``meta`` is free-form provenance.
+    sigma-point spread for this model.  ``meta`` is the fitted-model spec
+    the model was built from (see ``regression.fitted_observation``);
+    bundles save it.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
@@ -220,14 +219,15 @@ def kalman_step(
     return _affine_update(pred_mean, M, obs.H, obs.H @ pred_mean + obs.offset, x, obs.Lambda)
 
 
-def finite_difference_jacobian(
-    h: Callable[[np.ndarray], np.ndarray], z: np.ndarray, rel_step: float = 1e-5
-) -> np.ndarray:
-    """Central differences with per-coordinate step rel_step * (1 + |z_i|)."""
+_FD_REL_STEP = 1e-5
+
+
+def finite_difference_jacobian(h: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+    """Central differences with per-coordinate step _FD_REL_STEP * (1 + |z_i|)."""
     z = np.atleast_1d(np.asarray(z, float))
     cols = []
     for i in range(z.shape[0]):
-        step = rel_step * (1.0 + abs(z[i]))
+        step = _FD_REL_STEP * (1.0 + abs(z[i]))
         zp = z.copy()
         zm = z.copy()
         zp[i] += step
@@ -496,36 +496,3 @@ def run_filter(
         out.append(belief)
     return out
 
-
-def save_beliefs(beliefs: list[GaussianBelief], path) -> None:
-    """Write a belief trajectory as CSV: t, mu_1..mu_d, sigma_11..sigma_dd (row-major)."""
-    if not beliefs:
-        raise ValueError("no beliefs to save")
-    d = beliefs[0].d
-    header = (
-        ["t"]
-        + [f"mu_{i}" for i in range(1, d + 1)]
-        + [f"sigma_{i}{j}" for i in range(1, d + 1) for j in range(1, d + 1)]
-    )
-    with Path(path).open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, b in enumerate(beliefs):
-            vals = [str(t)]
-            vals += [f"{v:.17g}" for v in b.mean]
-            vals += [f"{v:.17g}" for v in b.covariance.ravel()]
-            fh.write(",".join(vals) + "\n")
-
-
-def load_beliefs(path) -> list[GaussianBelief]:
-    with Path(path).open() as fh:
-        header = fh.readline().strip().split(",")
-        d = sum(1 for name in header if name.startswith("mu_"))
-        if d == 0 or header[0] != "t" or len(header) != 1 + d + d * d:
-            raise ValueError(f"unexpected belief header {header!r}")
-        out = []
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = np.asarray(line.strip().split(","), float)
-            out.append(GaussianBelief(vals[1 : 1 + d], vals[1 + d :].reshape(d, d)))
-    return out

@@ -9,10 +9,8 @@ given its RandomSource.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -33,15 +31,12 @@ __all__ = [
     "gp_fit",
     "gp_predict_mean",
     "gp_predict_q",
-    "gp_log_marginal_likelihood",
     "mlp_fit",
     "mlp_predict",
     "fit_residual_Q",
     "build_dkf_variant",
     "SPEC_FIELDS",
     "fitted_observation",
-    "save_model",
-    "load_model",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -80,7 +75,7 @@ class RbfKernel:
 
     def __call__(self, XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
         sq = scipy.spatial.distance.cdist(XA, XB, "sqeuclidean")
-        return self.signal_variance * np.exp(-0.5 * sq / self.length_scale ** 2)
+        return _gram(sq, self.length_scale ** 2, self.signal_variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,34 +114,32 @@ class GpRegressor:
         return (np.atleast_2d(np.asarray(X, float)) - self.input_mean) / self.input_scale
 
 
-def gp_log_marginal_likelihood(
-    X: np.ndarray, z: np.ndarray, kernel: RbfKernel, noise_variance: float
-) -> float:
-    """log p(z | X, kernel, noise) for one output dimension (inputs as given)."""
-    X = np.atleast_2d(np.asarray(X, float))
-    z = np.asarray(z, float)
-    n = X.shape[0]
-    K = kernel(X, X) + noise_variance * np.eye(n)
-    L = np.linalg.cholesky(K)
-    alpha = scipy.linalg.cho_solve((L, True), z)
-    return float(
-        -0.5 * z @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2.0 * math.pi)
-    )
+def _gram(sq_dist: np.ndarray, ell2: float, s2: float) -> np.ndarray:
+    """RBF kernel values s2 * exp(-sq_dist / (2 ell2)) from squared distances."""
+    return s2 * np.exp(-0.5 * sq_dist / ell2)
+
+
+def _factor(K: np.ndarray, n2: float) -> np.ndarray | None:
+    """Lower Cholesky factor of K + n2 I, or None when it is not positive definite."""
+    try:
+        return np.linalg.cholesky(K + n2 * np.eye(K.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _hyper(theta: np.ndarray) -> tuple[float, float, float]:
+    """(length scale squared, signal variance, noise variance) from log-parameters."""
+    log_l, log_s2, log_n2 = theta
+    return math.exp(2.0 * log_l), math.exp(log_s2), math.exp(log_n2)
 
 
 def _lml_and_grad(theta: np.ndarray, sq_dist: np.ndarray, z: np.ndarray):
     """(negative LML, gradient) in log-parameters (log l, log s2, log noise)."""
-    log_l, log_s2, log_n2 = theta
     n = z.shape[0]
-    ell2 = math.exp(2.0 * log_l)
-    s2 = math.exp(log_s2)
-    n2 = math.exp(log_n2)
-    E = np.exp(-0.5 * sq_dist / ell2)
-    K = s2 * E
-    Ky = K + n2 * np.eye(n)
-    try:
-        L = np.linalg.cholesky(Ky)
-    except np.linalg.LinAlgError:
+    ell2, s2, n2 = _hyper(theta)
+    K = _gram(sq_dist, ell2, s2)
+    L = _factor(K, n2)
+    if L is None:
         return np.inf, np.zeros(3)
     alpha = scipy.linalg.cho_solve((L, True), z)
     lml = -0.5 * z @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2.0 * math.pi)
@@ -168,24 +161,18 @@ _GP_VAL_SLACK = 1.25
 def _candidate_mse(sq_fit: np.ndarray, z_fit: np.ndarray, sq_cross: np.ndarray,
                    z_out: np.ndarray, theta: np.ndarray) -> float:
     """MSE predicting z_out from the fit rows with hyperparameters theta."""
-    log_l, log_s2, log_n2 = theta
-    ell2 = math.exp(2.0 * log_l)
-    s2 = math.exp(log_s2)
-    n2 = math.exp(log_n2)
-    K = s2 * np.exp(-0.5 * sq_fit / ell2) + n2 * np.eye(sq_fit.shape[0])
-    try:
-        L = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
+    ell2, s2, n2 = _hyper(theta)
+    L = _factor(_gram(sq_fit, ell2, s2), n2)
+    if L is None:
         return np.inf
     alpha = scipy.linalg.cho_solve((L, True), z_fit)
-    pred = (s2 * np.exp(-0.5 * sq_cross / ell2)) @ alpha
+    pred = _gram(sq_cross, ell2, s2) @ alpha
     return float(np.mean((pred - z_out) ** 2))
 
 
 def gp_fit(
     X: np.ndarray,
     Z: np.ndarray,
-    n_starts: int = _GP_N_STARTS,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GpRegressor:
     """Fit per-dimension GPs by multi-start gradient ascent on the marginal likelihood.
@@ -193,7 +180,7 @@ def gp_fit(
     Starts are the deterministic grid {0.1, 0.3, 1, 3, 10} x median distance
     for the length scale, {0.1, 1} x target variance for the signal variance,
     and {0.001, 0.01, 0.1} x target variance for the noise; L-BFGS-B runs
-    from the ``n_starts`` best-scoring combos.  The winner among all
+    from the _GP_N_STARTS best-scoring combos.  The winner among all
     candidates (grid points and optima) is the best marginal likelihood
     subject to a held-out guard: prediction error on ``validation`` pairs
     when given, otherwise on the last 20% of the rows, must stay within a
@@ -218,13 +205,16 @@ def gp_fit(
     off_diag = sq_dist[np.triu_indices(n, k=1)]
     med = math.sqrt(max(float(np.median(off_diag)), 1e-12)) if off_diag.size else 1.0
 
-    Zv = None
+    # the held-out guard: (fit rows, fit distances, cross distances, held-out targets)
     if validation is not None:
-        Xv = np.atleast_2d(np.asarray(validation[0], float))
-        Zv = np.asarray(validation[1], float)
-        if Zv.ndim == 1:
-            Zv = Zv[:, None]
-        sq_val = scipy.spatial.distance.cdist((Xv - x_mean) / x_scale, Xs, "sqeuclidean")
+        Xv = (np.atleast_2d(np.asarray(validation[0], float)) - x_mean) / x_scale
+        Zv = np.asarray(validation[1], float).reshape(Xv.shape[0], -1)
+        guard = (n, sq_dist, scipy.spatial.distance.cdist(Xv, Xs, "sqeuclidean"), Zv)
+    elif n >= _GP_VAL_MIN_ROWS:
+        n_fit = n - max(1, n // 5)
+        guard = (n_fit, sq_dist[:n_fit, :n_fit], sq_dist[n_fit:, :n_fit], Z[n_fit:])
+    else:
+        guard = None
 
     dims = []
     for j in range(Z.shape[1]):
@@ -250,7 +240,7 @@ def gp_fit(
             (math.log(var) - 18.0, math.log(var) + 4.0),
         ]
         candidates = []  # (neg_lml, theta)
-        for _, theta0 in scored[:n_starts]:
+        for _, theta0 in scored[:_GP_N_STARTS]:
             res = scipy.optimize.minimize(
                 _lml_and_grad,
                 np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]),
@@ -265,33 +255,20 @@ def gp_fit(
         if not candidates:
             raise FitFailure(f"optimizer produced no finite optimum (output dim {j})")
 
-        if Zv is not None:
+        if guard is not None:
+            n_fit, sq_fit, sq_cross, Z_out = guard
             candidates += scored
             checks = [
-                _candidate_mse(sq_dist, z, sq_val, Zv[:, j], theta)
+                _candidate_mse(sq_fit, z[:n_fit], sq_cross, Z_out[:, j], theta)
                 for _, theta in candidates
             ]
-        elif n >= _GP_VAL_MIN_ROWS:
-            candidates += scored
-            n_fit = n - max(1, n // 5)
-            checks = [
-                _candidate_mse(
-                    sq_dist[:n_fit, :n_fit], z[:n_fit], sq_dist[n_fit:, :n_fit],
-                    z[n_fit:], theta,
-                )
-                for _, theta in candidates
-            ]
-        else:
-            checks = None
-        if checks is not None and np.isfinite(min(checks)):
             floor = min(checks)
-            admissible = [
-                pair for pair, mse in zip(candidates, checks)
-                if mse <= _GP_VAL_SLACK * floor
-            ]
-            best_theta = min(admissible, key=lambda pair: pair[0])[1]
-        else:
-            best_theta = min(candidates, key=lambda pair: pair[0])[1]
+            if np.isfinite(floor):
+                candidates = [
+                    pair for pair, mse in zip(candidates, checks)
+                    if mse <= _GP_VAL_SLACK * floor
+                ]
+        best_theta = min(candidates, key=lambda pair: pair[0])[1]
         log_l, log_s2, log_n2 = best_theta
         kernel = RbfKernel(math.exp(log_l), math.exp(log_s2))
         noise = math.exp(log_n2)
@@ -303,15 +280,19 @@ def gp_fit(
 
 
 def _finalize_gp_dim(Xs: np.ndarray, z: np.ndarray, kernel: RbfKernel, noise: float) -> _GpDim:
-    n = Xs.shape[0]
-    K = kernel(Xs, Xs) + noise * np.eye(n)
+    """Factor and weights of one output dim from its stored floats.
+
+    gp_fit and model_from_dict both finish here from the same floats, so a
+    reloaded model is bit-identical to the fitted one.  Up to three growing
+    diagonal jitters are tried before the fit fails.
+    """
+    Ky = kernel(Xs, Xs) + noise * np.eye(Xs.shape[0])
     jitter = 0.0
     for _ in range(4):
-        try:
-            L = np.linalg.cholesky(K + jitter * np.eye(n))
+        L = _factor(Ky, jitter)
+        if L is not None:
             break
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * kernel.signal_variance)
+        jitter = max(jitter * 10.0, 1e-12 * kernel.signal_variance)
     else:
         raise FitFailure("kernel matrix could not be factorized")
     alpha = scipy.linalg.cho_solve((L, True), z)
@@ -379,22 +360,21 @@ def mlp_predict(model: MlpRegressor, x: np.ndarray, batch: bool = False) -> np.n
     return out if batch else out[0]
 
 
-def mlp_fit(
-    X: np.ndarray,
-    Z: np.ndarray,
-    rng: RandomSource,
-    hidden_width: int = 20,
-    max_iter: int = 3000,
-    learning_rate: float = 0.01,
-    weight_decay: float = 1e-4,
-    patience: int = 200,
-) -> MlpRegressor:
+_MLP_HIDDEN_WIDTH = 20
+_MLP_MAX_ITER = 3000
+_MLP_LEARNING_RATE = 0.01
+_MLP_WEIGHT_DECAY = 1e-4
+_MLP_PATIENCE = 200
+
+
+def mlp_fit(X: np.ndarray, Z: np.ndarray, rng: RandomSource) -> MlpRegressor:
     """Full-batch Adam with weight decay and early stopping.
 
     Rows are shuffled once (deterministically from rng) into 70/15/15
     train/validation/test partitions; validation MSE drives early stopping
-    and the best weights are restored.  The test partition indices are kept
-    on the model for downstream residual estimates.
+    (_MLP_PATIENCE steps without improvement end the run) and the best
+    weights are restored.  The test partition indices are kept on the model
+    for downstream residual estimates.
     """
     X = np.atleast_2d(np.asarray(X, float))
     Z = np.asarray(Z, float)
@@ -420,7 +400,7 @@ def mlp_fit(
     idx_val = perm[n_tr : n_tr + n_val]
     idx_te = perm[n_tr + n_val :]
 
-    h = hidden_width
+    h = _MLP_HIDDEN_WIDTH
     w1 = rng.normals(h * m).reshape(h, m) / math.sqrt(m)
     b1 = np.zeros(h)
     w2 = rng.normals(d * h).reshape(d, h) / math.sqrt(h)
@@ -435,17 +415,17 @@ def mlp_fit(
     best_val = np.inf
     best = [p.copy() for p in params]
     since_best = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MLP_MAX_ITER + 1):
         Hact, P = _mlp_forward(w1, b1, w2, b2, Xtr)
         E = P - Ztr
         loss = float((E * E).mean())
         if not np.isfinite(loss):
             raise FitFailure(f"training loss became non-finite at iteration {it}")
         dP = (2.0 / E.size) * E
-        g_w2 = dP.T @ Hact + 2.0 * weight_decay * w2
+        g_w2 = dP.T @ Hact + 2.0 * _MLP_WEIGHT_DECAY * w2
         g_b2 = dP.sum(axis=0)
         dH = (dP @ w2) * (1.0 - Hact * Hact)
-        g_w1 = dH.T @ Xtr + 2.0 * weight_decay * w1
+        g_w1 = dH.T @ Xtr + 2.0 * _MLP_WEIGHT_DECAY * w1
         g_b1 = dH.sum(axis=0)
         for p, g, mo, ve in zip(params, [g_w1, g_b1, g_w2, g_b2], mom, vel):
             mo *= beta1
@@ -454,7 +434,7 @@ def mlp_fit(
             ve += (1 - beta2) * g * g
             m_hat = mo / (1 - beta1 ** it)
             v_hat = ve / (1 - beta2 ** it)
-            p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            p -= _MLP_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
         _, Pv = _mlp_forward(w1, b1, w2, b2, Xval)
         val = float(((Pv - Zval) ** 2).mean())
         if val < best_val - 1e-12:
@@ -463,7 +443,7 @@ def mlp_fit(
             since_best = 0
         else:
             since_best += 1
-            if since_best >= patience:
+            if since_best >= _MLP_PATIENCE:
                 break
     w1, b1, w2, b2 = best
     return MlpRegressor(
@@ -480,24 +460,13 @@ def mlp_fit(
 
 @dataclass(frozen=True, eq=False)
 class QEstimate:
-    """Constant covariance model for the discriminative update.
+    """Constant covariance model for the discriminative update: one SPD
+    matrix for all x, stored read-only."""
 
-    kind is "constant-from-residuals": one SPD matrix for all x, stored in
-    ``matrix`` and returned by ``value``.
-    """
-
-    kind: str
-    value: Callable[[np.ndarray], np.ndarray]
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.kind != "constant-from-residuals":
-            raise ValueError(f"unknown QEstimate kind {self.kind!r}")
-
-    @classmethod
-    def constant(cls, matrix) -> "QEstimate":
-        Qmat = _readonly(np.atleast_2d(matrix))
-        return cls("constant-from-residuals", value=lambda x: Qmat, matrix=Qmat)
+        object.__setattr__(self, "matrix", _readonly(np.atleast_2d(self.matrix)))
 
 
 def fit_residual_Q(f_hat: Callable[[np.ndarray], np.ndarray], heldout) -> QEstimate:
@@ -515,7 +484,7 @@ def fit_residual_Q(f_hat: Callable[[np.ndarray], np.ndarray], heldout) -> QEstim
     resid = np.empty((n, d))
     for i, (x, _) in enumerate(pairs):
         resid[i] = np.atleast_1d(f_hat(np.asarray(x, float))) - Z[i]
-    return QEstimate.constant(spd_floor(resid.T @ resid / n))
+    return QEstimate(spd_floor(resid.T @ resid / n))
 
 
 _GP_VAL_CAP = 750
@@ -655,7 +624,8 @@ def fitted_observation(spec: dict):
         edges, scales = spec["q_edges"], spec["q_scales"]
         Q = lambda x: np.diag(apply_q_calibration(gp_predict_q(model, x), edges, scales))
     else:
-        Q = spec["q"].value
+        Qmat = spec["q"].matrix
+        Q = lambda x: Qmat
     if kind == "dkf-nn":
         f = lambda x: mlp_predict(model, x)
     else:
@@ -679,10 +649,12 @@ def build_dkf_variant(
     constant Q from residuals on the contiguous last 20%.  dkf-nn: network
     mean, constant Q from residuals on the network's own test partition.
     GP fits subsample their rows to gp_subsample_cap (seeded farthest-point
-    selection, kept indices sorted).
+    selection, kept indices sorted), which must be at least 2.
     """
     if kind not in _DKF_KINDS:
         raise ValueError(f"unknown variant {kind!r}, expected one of {_DKF_KINDS}")
+    if kind != "dkf-nn" and gp_subsample_cap < 2:
+        raise ValueError(f"gp_subsample_cap must be at least 2, got {gp_subsample_cap}")
     X = dataset.train_observations
     Z = dataset.train_states
     n = X.shape[0]
@@ -777,12 +749,3 @@ def model_from_dict(payload: dict):
             holdout_indices=np.asarray(payload["holdout_indices"], int),
         )
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def save_model(model, path) -> None:
-    """JSON snapshot; loading reproduces predictions bit-for-bit."""
-    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n")
-
-
-def load_model(path):
-    return model_from_dict(json.loads(Path(path).read_text()))

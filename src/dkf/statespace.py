@@ -34,7 +34,6 @@ __all__ = [
     "generate_synthetic2",
     "ar1_dynamics",
     "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -185,17 +184,20 @@ def _require_spd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not positive definite") from None
 
 
-def spd_floor(C: np.ndarray, rel: float = 1e-9) -> np.ndarray:
+_SPD_FLOOR_REL = 1e-9
+
+
+def spd_floor(C: np.ndarray) -> np.ndarray:
     """Symmetrize and add a small diagonal ridge so a sample covariance is SPD.
 
-    The ridge is rel * mean diagonal entry, or rel absolute if the trace is
-    not positive (e.g. all-zero residuals).
+    The ridge is _SPD_FLOOR_REL * mean diagonal entry, or _SPD_FLOOR_REL
+    absolute if the trace is not positive (e.g. all-zero residuals).
     """
     C = np.atleast_2d(np.asarray(C, float))
     C = 0.5 * (C + C.T)
     d = C.shape[0]
     tr = float(np.trace(C))
-    eps = rel * tr / d if tr > 0 else rel
+    eps = _SPD_FLOOR_REL * tr / d if tr > 0 else _SPD_FLOOR_REL
     return C + eps * np.eye(d)
 
 
@@ -458,16 +460,12 @@ def generate_synthetic2(T: int, rng: RandomSource) -> TrajectoryDataset:
 # dataset files
 
 
-def _meta_path(path) -> Path:
-    return Path(str(path) + ".meta")
-
-
 def save_dataset(ds: TrajectoryDataset, path, seed: int | None = None) -> None:
     """Write a dataset as CSV (t, z_1..z_d, x_1..x_m) plus a key=value sidecar.
 
-    Floats use 17 significant digits so a load round-trips bit-exactly.  The
-    sidecar at <path>.meta records d, m, split_index, lag, and optionally the
-    generator seed.
+    Floats use 17 significant digits so ``bench.ingest_csv`` reads the values
+    back bit-exactly.  The sidecar at <path>.meta is a provenance record that
+    nothing reads: d, m, split_index, lag, and optionally the generator seed.
     """
     path = Path(path)
     header = (
@@ -490,34 +488,5 @@ def save_dataset(ds: TrajectoryDataset, path, seed: int | None = None) -> None:
     ]
     if seed is not None:
         lines.append(f"seed={seed}")
-    _meta_path(path).write_text("\n".join(lines) + "\n")
+    Path(str(path) + ".meta").write_text("\n".join(lines) + "\n")
 
-
-def load_dataset(path) -> TrajectoryDataset:
-    """Read a dataset CSV written by :func:`save_dataset` (sidecar required)."""
-    path = Path(path)
-    meta: dict[str, int] = {}
-    for line in _meta_path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        meta[key.strip()] = int(value.strip())
-    for key in ("d", "m", "split_index", "lag"):
-        if key not in meta:
-            raise ValueError(f"sidecar {_meta_path(path)} is missing '{key}'")
-    d, m = meta["d"], meta["m"]
-    with path.open() as fh:
-        header = fh.readline().strip().split(",")
-        expected = (
-            ["t"]
-            + [f"z_{i}" for i in range(1, d + 1)]
-            + [f"x_{j}" for j in range(1, m + 1)]
-        )
-        if header != expected:
-            raise ValueError(f"unexpected dataset header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.asarray(rows, float)
-    states = data[:, 1 : 1 + d]
-    obs = data[:, 1 + d : 1 + d + m]
-    return TrajectoryDataset(states, obs, split_index=meta["split_index"], lag=meta["lag"])

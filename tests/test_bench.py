@@ -436,3 +436,27 @@ def test_perfbench_tracer_reaches_the_step_functions(monkeypatch):
     names = {span[0] for span in tr.spans}
     assert {"filters.ukf_step", "filters.dkf_step", "filters.regularize_Q"} <= names
     assert sum(span[0] == "filters.ukf_step" for span in tr.spans) == 100
+
+
+@pytest.mark.parametrize("cfg", [
+    BenchmarkConfig(dataset="syn2", T=300, trials=1, filters=("kalman", "ekf", "ukf", "dkf-nn"),
+                    seed=0),
+    BenchmarkConfig(dataset="syn1", T=300, trials=1, filters=("kalman", "dkf-gp", "dkf-gp-freq"),
+                    seed=0, gp_subsample_cap=60),
+], ids=["syn2", "syn1"])
+def test_perfbench_checks_pass(cfg, tmp_path, monkeypatch):
+    # the benchmark's own checks read the fitted-model spec (meta["q"].matrix,
+    # q_edges/q_scales), apply_q_calibration and FittedCell; a trim that breaks
+    # what they read fails here rather than in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+    import tracer
+
+    with tracer.Tracer(full=False) as tr:
+        report = run_benchmark(cfg)
+        table = emit_report(report)
+    assert checks.check_cells(report, tr.runs, table) == []
+    assert [run[0] for run in tr.runs] == list(cfg.filters)
+    for label, ds, dyn, obs, beliefs in tr.runs:
+        means = np.array([b.mean for b in beliefs])
+        checks.bundle_round_trip(FittedCell(label, dyn, obs), ds, means, tmp_path)

@@ -138,6 +138,16 @@ def test_fit_then_run_matches_bench(name, tmp_path, capsys):
     assert np.allclose(means, report.results[0].means[:, 0], rtol=0.0, atol=1e-12)
 
 
+def test_fit_rejects_gp_cap_below_two(tmp_path, capsys):
+    code, stdout, err = _run(
+        capsys, "fit", "--dataset", "syn2", "--T", "300", "--filters", "dkf-gp",
+        "--gp-cap", "0", "--out", str(tmp_path),
+    )
+    assert code == 1 and stdout == ""
+    payload = _stderr_json(err)
+    assert payload["error"] == "ValueError" and "gp_subsample_cap" in payload["message"]
+
+
 def test_run_requires_model_and_out(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--out", str(tmp_path / "t.csv"))
     assert code == 1 and "--model" in _stderr_json(err)["message"]
@@ -269,6 +279,17 @@ def test_config_file_values_get_the_flag_choices(command, line, key, tmp_path, c
     assert payload["error"] == "ValueError"
     assert key in payload["message"]
     assert calls == []
+
+
+def test_config_file_value_of_wrong_type_names_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 3\nT = abc\n")
+    code, stdout, err = _run(
+        capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1 and stdout == ""
+    payload = _stderr_json(err)
+    assert payload == {"error": "ValueError", "message": f"{cfg}:2: T must be int, got 'abc'"}
 
 
 def test_errors_are_json_on_stderr(tmp_path, capsys):

@@ -21,10 +21,8 @@ from dkf.filters import (
     ekf_step,
     finite_difference_jacobian,
     kalman_step,
-    load_beliefs,
     regularize_Q,
     run_filter,
-    save_beliefs,
     sigma_points,
     ukf_step,
 )
@@ -567,35 +565,3 @@ def test_all_steps_return_symmetric_pd_covariances(seed):
     ):
         assert np.array_equal(post.covariance, post.covariance.T)
         assert np.linalg.eigvalsh(post.covariance).min() > 0
-
-
-# ---------------------------------------------------------------------------
-# belief serialization
-
-
-def test_save_load_beliefs_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    beliefs = [
-        GaussianBelief(rng.standard_normal(2), np.eye(2) + 0.1 * t) for t in range(5)
-    ]
-    path = tmp_path / "beliefs.csv"
-    save_beliefs(beliefs, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,mu_1,mu_2,sigma_11,sigma_12,sigma_21,sigma_22"
-    loaded = load_beliefs(path)
-    assert len(loaded) == 5
-    for a, b in zip(beliefs, loaded):
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.covariance, b.covariance)
-
-
-def test_save_beliefs_rejects_empty():
-    with pytest.raises(ValueError):
-        save_beliefs([], "unused.csv")
-
-
-def test_load_beliefs_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        load_beliefs(path)
