@@ -23,9 +23,11 @@ from .filters import (
     run_filter,
 )
 from .regression import (
+    FORMAT_VERSION,
     SPEC_FIELDS,
     QEstimate,
     build_dkf_variant,
+    check_payload,
     fitted_observation,
     mlp_fit,
     mlp_predict,
@@ -334,8 +336,7 @@ def fit_cell(
     child stream so cells stay reproducible independently of one another.
     """
     if dyn is None:
-        train = dataset.train_states
-        dyn = fit_dynamics(list(zip(train[:-1], train[1:])))
+        dyn = fit_dynamics(dataset.train_states)
     Z = dataset.train_states
     X = dataset.train_observations
     if filter_name == "kalman":
@@ -396,8 +397,7 @@ def run_benchmark(config: BenchmarkConfig) -> MetricReport:
     for trial in range(config.trials):
         try:
             ds = _trial_dataset(config, trial, csv_full)
-            train = ds.train_states
-            dyn = fit_dynamics(list(zip(train[:-1], train[1:])))
+            dyn = fit_dynamics(ds.train_states)
         except Exception as exc:
             for name in config.filters:
                 report.results.append(
@@ -548,7 +548,7 @@ def save_model_bundle(cell: FittedCell, path) -> None:
     keys = {"model": "f_model" if name.startswith("dkf") else "h_model", "q": "Q"}
     dyn = cell.dyn
     payload = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "filter": name,
         "dynamics": {
             "A": dyn.A.tolist(),
@@ -565,6 +565,7 @@ def save_model_bundle(cell: FittedCell, path) -> None:
 
 def load_model_bundle(path) -> FittedCell:
     payload = json.loads(Path(path).read_text())
+    check_payload(payload, "model bundle", ("filter", "dynamics", "observation"))
     dyn_spec = payload["dynamics"]
     dyn = LinearGaussianDynamics(dyn_spec["A"], dyn_spec["Gamma"], dyn_spec["S"])
     name = payload["filter"]

@@ -242,20 +242,14 @@ def _cmd_oracle_check(opts: dict) -> int:
         dyn = LinearGaussianDynamics.from_transition([[a]], [[gamma]])
         S = float(dyn.S[0, 0])
         T = opts["T"]
-        f_seq = cfg_rng.normals(T) * 0.8 * np.sqrt(S)
-        q_seq = (0.05 + 0.85 * cfg_rng.uniforms(T)) * S
-        model = DiscriminativeObservationModel(
-            f=lambda x: np.array([f_seq[int(x[0])]]),
-            Q=lambda x: np.array([[q_seq[int(x[0])]]]),
-        )
+        # each step's observation is its (f, q) pair, which the model reads off
+        xs = np.column_stack([cfg_rng.normals(T) * 0.8 * np.sqrt(S),
+                              (0.05 + 0.85 * cfg_rng.uniforms(T)) * S])
+        model = DiscriminativeObservationModel(f=lambda X: X[:, :1], Q=lambda X: X[:, 1:, None])
         grid = stationary_grid(S, points=opts["points"])
-        oracle_moments = grid_filter_run(
-            np.arange(T, dtype=float)[:, None], dyn, model, grid=grid
-        )
         belief = dyn.stationary_belief()
-        for t in range(T):
-            belief = dkf_step(belief, np.array([float(t)]), dyn, model)
-            om, ov = oracle_moments[t]
+        for x, (om, ov) in zip(xs, grid_filter_run(xs, dyn, model, grid=grid)):
+            belief = dkf_step(belief, x, dyn, model)
             worst_mean = max(worst_mean, abs(belief.mean[0] - om))
             worst_var = max(worst_var, abs(belief.covariance[0, 0] - ov))
     ok = worst_mean <= 1e-4 and worst_var <= 1e-4

@@ -41,6 +41,7 @@ __all__ = [
     "regularize_Q",
     "dkf_steady_state_covariance",
     "discriminative_from_linear",
+    "constant_q",
     "sigma_points",
     "finite_difference_jacobian",
     "run_filter",
@@ -89,9 +90,10 @@ def _sym(M: np.ndarray) -> np.ndarray:
 class DiscriminativeObservationModel:
     """Learned approximation of p(z | x) as N(f(x), Q(x)).
 
-    f maps an observation (m,) to a state-space mean (d,); Q maps it to a
-    (d, d) covariance.  ``meta`` is the fitted-model spec the model was
-    built from (see ``regression.fitted_observation``); bundles save it.
+    Both maps take a batch of observations: f maps (N, m) to means (N, d)
+    and Q maps (N, m) to covariances (N, d, d).  ``meta`` is the
+    fitted-model spec the model was built from (see
+    ``regression.fitted_observation``); bundles save it.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -99,15 +101,21 @@ class DiscriminativeObservationModel:
     meta: dict | None = None
 
 
+def constant_q(Q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Q map of a covariance that does not depend on x: (N, m) -> N copies of Q, (N, d, d)."""
+    return lambda X: Q[None].repeat(len(X), axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class GenerativeObservationModel:
     """Observation likelihood x | z ~ N(h(z), Lambda).
 
-    ``jacobian`` optionally supplies dh/dz for the EKF.  When h is affine,
-    ``H`` and ``offset`` hold the exact linear form h(z) = H z + offset and
-    the Kalman step can use it directly.  ``ukf_params`` is the UKF's
-    sigma-point spread for this model.  ``meta`` is the fitted-model spec
-    the model was built from (see ``regression.fitted_observation``);
+    h takes a batch of states, (N, d) to (N, m).  ``jacobian`` optionally
+    supplies dh/dz at one state, (d,) to (m, d), for the EKF.  When h is
+    affine, ``H`` and ``offset`` hold the exact linear form h(z) = H z +
+    offset and the Kalman step can use it directly.  ``ukf_params`` is the
+    UKF's sigma-point spread for this model.  ``meta`` is the fitted-model
+    spec the model was built from (see ``regression.fitted_observation``);
     bundles save it.
     """
 
@@ -138,7 +146,7 @@ class GenerativeObservationModel:
         H = np.atleast_2d(np.asarray(H, float))
         off = np.zeros(H.shape[0]) if offset is None else np.atleast_1d(np.asarray(offset, float))
         return cls(
-            h=lambda z: H @ np.atleast_1d(z) + off,
+            h=lambda Z: Z @ H.T + off,
             Lambda=Lambda,
             jacobian=lambda z: H,
             H=H,
@@ -223,17 +231,12 @@ _FD_REL_STEP = 1e-5
 
 
 def finite_difference_jacobian(h: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
-    """Central differences with per-coordinate step _FD_REL_STEP * (1 + |z_i|)."""
+    """(m, d) central differences of the batched h at z, with per-coordinate
+    step _FD_REL_STEP * (1 + |z_i|), from one h call on the 2d shifted points."""
     z = np.atleast_1d(np.asarray(z, float))
-    cols = []
-    for i in range(z.shape[0]):
-        step = _FD_REL_STEP * (1.0 + abs(z[i]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += step
-        zm[i] -= step
-        cols.append((np.atleast_1d(h(zp)) - np.atleast_1d(h(zm))) / (2.0 * step))
-    return np.column_stack(cols)
+    steps = _FD_REL_STEP * (1.0 + np.abs(z))
+    Y = h(np.concatenate([z + np.diag(steps), z - np.diag(steps)]))
+    return ((Y[: z.size] - Y[z.size :]) / (2.0 * steps[:, None])).T
 
 
 def ekf_step(
@@ -249,7 +252,7 @@ def ekf_step(
         H = np.atleast_2d(obs.jacobian(pred_mean))
     else:
         H = finite_difference_jacobian(obs.h, pred_mean)
-    return _affine_update(pred_mean, M, H, np.atleast_1d(obs.h(pred_mean)), x, obs.Lambda)
+    return _affine_update(pred_mean, M, H, obs.h(pred_mean[None])[0], x, obs.Lambda)
 
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray, params: UkfParameters):
@@ -266,11 +269,7 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, params: UkfParameters):
         L = np.linalg.cholesky((d + lam) * cov)
     except np.linalg.LinAlgError:
         raise CholeskyFailure("sigma-point covariance is not positive definite") from None
-    pts = np.empty((2 * d + 1, d))
-    pts[0] = mean
-    for i in range(d):
-        pts[1 + i] = mean + L[:, i]
-        pts[1 + d + i] = mean - L[:, i]
+    pts = np.vstack([mean, mean + L.T, mean - L.T])
     wm = np.full(2 * d + 1, 0.5 / (d + lam))
     wm[0] = lam / (d + lam)
     wc = wm.copy()
@@ -292,7 +291,7 @@ def ukf_step(
     x = np.atleast_1d(np.asarray(x, float))
     pred_mean, M = _predict(belief, dyn)
     pts, wm, wc = sigma_points(pred_mean, M, params)
-    Y = np.asarray([np.atleast_1d(obs.h(p)) for p in pts], float)
+    Y = obs.h(pts)
     y_mean = wm @ Y
     dY = Y - y_mean
     dZ = pts - pred_mean
@@ -351,11 +350,10 @@ def dkf_step(
     dropped for this step (counted in stats.prior_term_dropped), and only
     when that fallback also fails is InvalidPosterior raised.
     """
-    x = np.atleast_1d(np.asarray(x, float))
+    X = np.atleast_1d(np.asarray(x, float))[None]  # a batch of one
     d = belief.d
     _, M = _predict(belief, dyn)
-    f_val = np.atleast_1d(np.asarray(obs.f(x), float))
-    Q_raw = np.atleast_2d(np.asarray(obs.Q(x), float))
+    f_val, Q_raw = obs.f(X)[0], obs.Q(X)[0]
     if f_val.shape != (d,) or Q_raw.shape != (d, d):
         raise ValueError(
             f"observation model returned f {f_val.shape}, Q {Q_raw.shape} for state dim {d}"
@@ -454,8 +452,8 @@ def discriminative_from_linear(
     offset = obs.offset
 
     return DiscriminativeObservationModel(
-        f=lambda x: gain @ (np.atleast_1d(x) - offset),
-        Q=lambda x: Q,
+        f=lambda X: (X - offset) @ gain.T,
+        Q=constant_q(Q),
         meta={"kind": "conjugate-linear"},
     )
 

@@ -142,8 +142,7 @@ def grid_step_generative(
     z = prior.grid.nodes
     if isinstance(obs, GenerativeObservationModel):
         x = np.atleast_1d(np.asarray(x, float))
-        H_vals = np.asarray([np.atleast_1d(obs.h(np.array([zi]))) for zi in z], float)
-        resid = x[None, :] - H_vals
+        resid = x[None, :] - obs.h(z[:, None])
         cL = scipy.linalg.cho_factor(np.array(obs.Lambda), lower=True)
         white = scipy.linalg.cho_solve(cL, resid.T)
         log_lik = -0.5 * np.einsum("ij,ij->j", resid.T, white)
@@ -209,10 +208,9 @@ def grid_filter_run(
 ) -> list[tuple[float, float]]:
     """Full filtering pass on the grid; returns (mean, var) per step.
 
-    model is a DiscriminativeObservationModel (f, Q evaluated per
-    observation) or anything grid_step_generative accepts per step via
-    ``lambda z: likelihood(x_t, z)`` closures, i.e. a GenerativeObservationModel.
-    The prior is the stationary N(0, S).
+    model is a DiscriminativeObservationModel (f and Q evaluated once on
+    all observations) or a GenerativeObservationModel (h evaluated once per
+    step on the grid nodes).  The prior is the stationary N(0, S).
     """
     if dyn.d != 1:
         raise ValueError("grid oracle only supports d = 1")
@@ -221,12 +219,12 @@ def grid_filter_run(
     trans = transition_matrix(dyn, grid)
     density = gaussian_grid_density(grid, 0.0, S)
     out: list[tuple[float, float]] = []
-    for x in observations:
+    if isinstance(model, DiscriminativeObservationModel):
+        X = np.asarray(observations, float).reshape(len(observations), -1)
+        F, Qs = model.f(X)[:, 0], model.Q(X)[:, 0, 0]
+    for t, x in enumerate(observations):
         if isinstance(model, DiscriminativeObservationModel):
-            x_arr = np.atleast_1d(np.asarray(x, float))
-            f_val = float(np.atleast_1d(model.f(x_arr))[0])
-            q_val = float(np.atleast_2d(model.Q(x_arr))[0, 0])
-            density = grid_step_discriminative(density, f_val, q_val, dyn, trans)
+            density = grid_step_discriminative(density, float(F[t]), float(Qs[t]), dyn, trans)
         else:
             density = grid_step_generative(density, x, dyn, model, trans)
         out.append(grid_moments(density))

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.spatial.distance
 
-from .filters import DiscriminativeObservationModel, GenerativeObservationModel
+from .filters import DiscriminativeObservationModel, GenerativeObservationModel, constant_q
 from .statespace import RandomSource, TrajectoryDataset, _readonly, spd_floor
 
 __all__ = [
@@ -37,6 +36,8 @@ __all__ = [
     "build_dkf_variant",
     "SPEC_FIELDS",
     "fitted_observation",
+    "FORMAT_VERSION",
+    "check_payload",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -469,21 +470,18 @@ class QEstimate:
         object.__setattr__(self, "matrix", _readonly(np.atleast_2d(self.matrix)))
 
 
-def fit_residual_Q(f_hat: Callable[[np.ndarray], np.ndarray], heldout) -> QEstimate:
-    """Constant Q from prediction residuals on held-out (x, z) pairs.
+def fit_residual_Q(F_hat: np.ndarray, Z: np.ndarray) -> QEstimate:
+    """Constant Q from the residuals F_hat - Z of held-out predictions F_hat
+    (n, d) against their states Z (n, d).
 
-    Denominator n, SPD-floored.  Needs at least d + 1 pairs.
+    Denominator n, SPD-floored.  Needs at least d + 1 rows.
     """
-    pairs = list(heldout)
-    if not pairs:
-        raise InsufficientData("no held-out pairs")
-    Z = np.atleast_2d(np.asarray([np.atleast_1d(z) for _, z in pairs], float))
-    n, d = Z.shape
+    if np.shape(F_hat) != np.shape(Z):
+        raise ValueError(f"predictions {np.shape(F_hat)} and states {np.shape(Z)} differ in shape")
+    resid = np.asarray(F_hat, float) - np.asarray(Z, float)
+    n, d = resid.shape
     if n < d + 1:
-        raise InsufficientData(f"need at least d + 1 = {d + 1} held-out pairs, got {n}")
-    resid = np.empty((n, d))
-    for i, (x, _) in enumerate(pairs):
-        resid[i] = np.atleast_1d(f_hat(np.asarray(x, float))) - Z[i]
+        raise InsufficientData(f"need at least d + 1 = {d + 1} held-out rows, got {n}")
     return QEstimate(spd_floor(resid.T @ resid / n))
 
 
@@ -581,10 +579,11 @@ def _q_calibration(gp: GpRegressor, validation) -> tuple[np.ndarray, np.ndarray]
 
 
 def apply_q_calibration(q: np.ndarray, edges: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Scale one predicted-variance vector by its per-dim calibration bin."""
-    out = np.empty(q.shape[0])
-    for j in range(q.shape[0]):
-        out[j] = q[j] * scales[j, int(np.digitize(q[j], edges[j]))]
+    """Scale predicted variances (..., d), one (d,) row or a batch (N, d),
+    by each entry's per-dim calibration bin."""
+    out = np.empty_like(q)
+    for j in range(q.shape[-1]):
+        out[..., j] = q[..., j] * scales[j, np.digitize(q[..., j], edges[j])]
     return out
 
 
@@ -617,19 +616,19 @@ def fitted_observation(spec: dict):
         return GenerativeObservationModel.linear(spec["H"], spec["Lambda"], spec["offset"], meta=spec)
     if kind in ("ekf", "ukf"):
         return GenerativeObservationModel(
-            h=lambda z: mlp_predict(model, z), Lambda=spec["Lambda"],
+            h=lambda Z: mlp_predict(model, Z, batch=True), Lambda=spec["Lambda"],
             ukf_params=spec.get("ukf_params"), meta=spec,
         )
     if kind == "dkf-gp":
         edges, scales = spec["q_edges"], spec["q_scales"]
-        Q = lambda x: np.diag(apply_q_calibration(gp_predict_q(model, x), edges, scales))
+        eye = np.eye(model.d)  # the calibrated variances (N, d) fill a diagonal (N, d, d)
+        Q = lambda X: apply_q_calibration(gp_predict_q(model, X, batch=True), edges, scales)[..., None] * eye
     else:
-        Qmat = spec["q"].matrix
-        Q = lambda x: Qmat
+        Q = constant_q(spec["q"].matrix)
     if kind == "dkf-nn":
-        f = lambda x: mlp_predict(model, x)
+        f = lambda X: mlp_predict(model, X, batch=True)
     else:
-        f = lambda x: gp_predict_mean(model, x)
+        f = lambda X: gp_predict_mean(model, X, batch=True)
     return DiscriminativeObservationModel(f=f, Q=Q, meta=spec)
 
 
@@ -671,24 +670,35 @@ def build_dkf_variant(
         Xf, Zf, keep = _subsample(X[:cut], Z[:cut], gp_subsample_cap, rng.derive(1))
         val_sel, = _carve_validation(X[:cut], Z[:cut], keep, rng.derive(3))
         model = gp_fit(Xf, Zf, validation=val_sel)
-        heldout = list(zip(X[cut:], Z[cut:]))
-        f_hat = lambda x: gp_predict_mean(model, x)
+        q = fit_residual_Q(gp_predict_mean(model, X[cut:], batch=True), Z[cut:])
     else:
         model = mlp_fit(X, Z, rng.derive(2))
         hold = model.holdout_indices
-        heldout = list(zip(X[hold], Z[hold]))
-        f_hat = lambda x: mlp_predict(model, x)
-    return fitted_observation({"kind": kind, "model": model, "q": fit_residual_Q(f_hat, heldout)})
+        q = fit_residual_Q(mlp_predict(model, X[hold], batch=True), Z[hold])
+    return fitted_observation({"kind": kind, "model": model, "q": q})
 
 
 # ---------------------------------------------------------------------------
 # model files
 
 
+FORMAT_VERSION = 1
+
+
+def check_payload(payload: dict, what: str, keys: tuple[str, ...] = ()) -> None:
+    """Refuse a file payload written in another format version or missing a key."""
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{what} has format_version {version!r}, expected {FORMAT_VERSION}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{what} is missing {missing}")
+
+
 def model_to_dict(model) -> dict:
     if isinstance(model, GpRegressor):
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "kind": "gp-regressor",
             "input_mean": model.input_mean.tolist(),
             "input_scale": model.input_scale.tolist(),
@@ -705,7 +715,7 @@ def model_to_dict(model) -> dict:
         }
     if isinstance(model, MlpRegressor):
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "kind": "mlp-regressor",
             "w1": model.w1.tolist(),
             "b1": model.b1.tolist(),
@@ -721,6 +731,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(payload: dict):
+    check_payload(payload, "regressor")
     kind = payload.get("kind")
     if kind == "gp-regressor":
         inputs = np.asarray(payload["inputs"], float)

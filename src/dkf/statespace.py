@@ -284,21 +284,18 @@ def solve_stationary_covariance(A, Gamma) -> np.ndarray:
     raise ArithmeticError(f"stationary covariance refinement stalled at residual {resid:.3g}")
 
 
-def fit_dynamics(state_pairs) -> LinearGaussianDynamics:
-    """Least-squares fit of (A, Gamma, S) from consecutive state pairs.
+def fit_dynamics(states: np.ndarray) -> LinearGaussianDynamics:
+    """Least-squares fit of (A, Gamma, S) from a state trajectory (T, d).
 
-    ``state_pairs`` is a sequence of ``(z_prev, z_next)`` vectors.  A solves
-    ``z_next ~ A z_prev`` in least squares, Gamma is the residual covariance
-    with denominator n (floored to SPD), and S comes from the Lyapunov solve.
+    Its n = T - 1 consecutive pairs give A, the least-squares solution of
+    ``z_t ~ A z_{t-1}``, and Gamma, the residual covariance with denominator
+    n (floored to SPD); S comes from the Lyapunov solve.
     """
-    pairs = list(state_pairs)
-    if not pairs:
-        raise RankDeficient("no state pairs given")
-    prev = np.atleast_2d(np.asarray([np.atleast_1d(p) for p, _ in pairs], float))
-    nxt = np.atleast_2d(np.asarray([np.atleast_1d(q) for _, q in pairs], float))
+    states = np.asarray(states, float)
+    if states.ndim != 2:
+        raise ValueError(f"states must be a (T, d) array, got shape {states.shape}")
+    prev, nxt = states[:-1], states[1:]
     n, d = prev.shape
-    if nxt.shape != (n, d):
-        raise ValueError("predecessor and successor states disagree in shape")
     if n < d + 1:
         raise RankDeficient(f"need at least d + 1 = {d + 1} pairs, got {n}")
     if np.linalg.matrix_rank(prev) < d:

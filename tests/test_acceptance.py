@@ -15,7 +15,7 @@ import numpy as np
 
 from dkf.bench import BenchmarkConfig, run_benchmark
 from dkf.filters import (DiscriminativeObservationModel, GenerativeObservationModel,
-                         dkf_steady_state_covariance, dkf_step,
+                         constant_q, dkf_steady_state_covariance, dkf_step,
                          discriminative_from_linear, kalman_step, regularize_Q)
 from dkf.oracle import grid_filter_run
 from dkf.statespace import LinearGaussianDynamics, RandomSource, simulate_states
@@ -47,12 +47,10 @@ def test_grid_oracle_equivalence():
         xs = 0.8 * math.sqrt(S) * rng.normals(50)
         if i % 2 == 0:
             q = (0.05 + 0.85 * u[2]) * S
-            Q = lambda x, q=q: np.array([[q]])
+            Q = constant_q(np.array([[q]]))
         else:
             # x-varying Q, values inside (0.1 S, 0.9 S) so S - Q stays PD
-            Q = lambda x, S=S: np.array(
-                [[(0.1 + 0.8 / (1.0 + math.exp(-float(x[0])))) * S]]
-            )
+            Q = lambda X, S=S: ((0.1 + 0.8 / (1.0 + np.exp(-X[:, 0]))) * S)[:, None, None]
         obs = DiscriminativeObservationModel(f=lambda x: x, Q=Q)
         oracle = grid_filter_run(xs, dyn, obs)
         belief = dyn.stationary_belief()
@@ -119,7 +117,7 @@ def test_steady_state_covariance():
     resid = float(np.linalg.norm(np.linalg.inv(P) - Sigma))
 
     obs = DiscriminativeObservationModel(
-        f=lambda x: 0.5 * x, Q=lambda x: Q
+        f=lambda x: 0.5 * x, Q=constant_q(Q)
     )
     belief = dyn.stationary_belief()
     rng = RandomSource(7)

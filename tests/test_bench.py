@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from dkf.statespace import (
     generate_synthetic2,
     save_dataset,
 )
+from dkf.surrogate import generate_surrogate, write_surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +244,19 @@ def test_fits_ignore_test_segment():
     poisoned_states[ds.split_index :] = 1e6
     poisoned_obs[ds.split_index :] = -1e6
     evil = TrajectoryDataset(poisoned_states, poisoned_obs, split_index=ds.split_index)
-    probes = np.linspace(-2, 2, 7)[:, None]
+    state_probes = np.linspace(-2, 2, 7)[:, None]
+    obs_probes = np.linspace(-2, 2, 14).reshape(7, 2)
     for name in ("kalman", "ekf", "dkf-gp", "dkf-nn"):
         a = fit_cell(name, ds, RandomSource(33))
         b = fit_cell(name, evil, RandomSource(33))
         assert np.array_equal(a.dyn.A, b.dyn.A)
         assert np.array_equal(a.dyn.Gamma, b.dyn.Gamma)
-        for x in probes:
-            if name.startswith("dkf"):
-                assert np.array_equal(a.obs.f(x), b.obs.f(x))
-                assert np.array_equal(a.obs.Q(x), b.obs.Q(x))
-            else:
-                assert np.array_equal(
-                    np.atleast_1d(a.obs.h(x)), np.atleast_1d(b.obs.h(x))
-                )
-                assert np.array_equal(a.obs.Lambda, b.obs.Lambda)
+        if name.startswith("dkf"):
+            assert np.array_equal(a.obs.f(obs_probes), b.obs.f(obs_probes))
+            assert np.array_equal(a.obs.Q(obs_probes), b.obs.Q(obs_probes))
+        else:
+            assert np.array_equal(a.obs.h(state_probes), b.obs.h(state_probes))
+            assert np.array_equal(a.obs.Lambda, b.obs.Lambda)
 
 
 def test_fit_cell_streams_do_not_interfere():
@@ -266,7 +266,7 @@ def test_fit_cell_streams_do_not_interfere():
     fit_cell("ekf", ds, rng_a)
     nn_after = fit_cell("dkf-nn", ds, rng_a)
     nn_alone = fit_cell("dkf-nn", ds, RandomSource(50))
-    x = np.array([0.5])
+    x = np.array([[0.5, -0.5]])
     assert np.array_equal(nn_after.obs.f(x), nn_alone.obs.f(x))
 
 
@@ -291,8 +291,33 @@ def test_fit_mlp_observation_keeps_model_in_meta():
     obs = fit_mlp_observation(ds.train_states, ds.train_observations, RandomSource(1))
     assert obs.meta and "model" in obs.meta
     assert obs.Lambda.shape == (2, 2)
-    out = np.atleast_1d(obs.h(np.array([0.4])))
-    assert out.shape == (2,)
+    assert obs.h(np.array([[0.4]])).shape == (1, 2)
+
+
+@pytest.fixture(scope="module")
+def surrogate_cells():
+    ds = generate_surrogate(400, m=12, seed=3)
+    rng = RandomSource(9)
+    return ds, {name: fit_cell(name, ds, rng, gp_subsample_cap=60) for name in FILTER_NAMES}
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_fitted_models_are_batched(name, surrogate_cells):
+    # d=2, m=12: h maps (N, d) -> (N, m), f (N, m) -> (N, d), Q (N, m) -> (N, d, d),
+    # and a batch equals N batches of one (batched BLAS may differ in the last bits)
+    ds, cells = surrogate_cells
+    obs = cells[name].obs
+    N, d, m = 7, ds.d, ds.m
+    if name.startswith("dkf"):
+        maps = ((obs.f, ds.test_observations[:N], (N, d)),
+                (obs.Q, ds.test_observations[:N], (N, d, d)))
+    else:
+        maps = ((obs.h, ds.test_states[:N], (N, m)),)
+    for fn, inputs, shape in maps:
+        out = fn(inputs)
+        assert out.shape == shape
+        rows = np.stack([fn(row[None])[0] for row in inputs])
+        assert np.allclose(out, rows, rtol=1e-12, atol=0.0)
 
 
 def test_ukf_bench_params_are_tight_spread():
@@ -412,9 +437,36 @@ def test_ukf_bundle_without_spread_is_rejected(tmp_path):
 
 def test_bundle_rejects_unknown_filter(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"filter": "smoother", "dynamics": {"A": [[0.5]], "Gamma": [[1.0]], "S": [[1.3333333333333333]]}, "observation": {}}\n')
-    with pytest.raises(ValueError):
+    path.write_text('{"format_version": 1, "filter": "smoother", "dynamics": {"A": [[0.5]], "Gamma": [[1.0]], "S": [[1.3333333333333333]]}, "observation": {}}\n')
+    with pytest.raises(ValueError, match="smoother"):
         load_model_bundle(path)
+
+
+def _edited_bundle(tmp_path, edit):
+    path = tmp_path / "dkf-nn.json"
+    cell = fit_cell("dkf-nn", generate_synthetic2(240, RandomSource(6)), RandomSource(77))
+    save_model_bundle(cell, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("key", ["filter", "dynamics", "observation"])
+def test_bundle_missing_key_names_it(key, tmp_path):
+    path = _edited_bundle(tmp_path, lambda p: p.pop(key))
+    with pytest.raises(ValueError, match=key):
+        load_model_bundle(path)
+
+
+@pytest.mark.parametrize("where", ["bundle", "regressor"])
+def test_bundle_of_another_format_version_is_rejected(where, tmp_path):
+    def stamp(payload):
+        target = payload if where == "bundle" else payload["observation"]["f_model"]
+        target["format_version"] = 2
+
+    with pytest.raises(ValueError, match="format_version 2"):
+        load_model_bundle(_edited_bundle(tmp_path, stamp))
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +495,22 @@ def test_perfbench_tracer_reaches_the_step_functions(monkeypatch):
                     seed=0),
     BenchmarkConfig(dataset="syn1", T=300, trials=1, filters=("kalman", "dkf-gp", "dkf-gp-freq"),
                     seed=0, gp_subsample_cap=60),
-], ids=["syn2", "syn1"])
+    BenchmarkConfig(dataset="csv", csv_path="surrogate.csv", trials=1,
+                    filters=("kalman", "dkf-gp", "dkf-nn"), seed=0, gp_subsample_cap=60),
+], ids=["syn2", "syn1", "surrogate"])
 def test_perfbench_checks_pass(cfg, tmp_path, monkeypatch):
     # the benchmark's own checks read the fitted-model spec (meta["q"].matrix,
     # q_edges/q_scales), apply_q_calibration and FittedCell; a trim that breaks
-    # what they read fails here rather than in the benchmark
+    # what they read fails here rather than in the benchmark.  The d=2
+    # surrogate covers the (N, d, d) diagonal Q of dkf-gp.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import checks
     import tracer
+
+    if cfg.dataset == "csv":
+        csv = tmp_path / cfg.csv_path
+        write_surrogate(csv, T=600, m=100, seed=0)
+        cfg = dataclasses.replace(cfg, csv_path=str(csv))
 
     with tracer.Tracer(full=False) as tr:
         report = run_benchmark(cfg)

@@ -148,6 +148,26 @@ def test_fit_rejects_gp_cap_below_two(tmp_path, capsys):
     assert payload["error"] == "ValueError" and "gp_subsample_cap" in payload["message"]
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda p: p.update(format_version=2), "format_version"),
+    (lambda p: p.pop("dynamics"), "dynamics"),
+], ids=["format_version", "missing-dynamics"])
+def test_run_rejects_a_bad_bundle_naming_the_key(edit, key, tmp_path, capsys):
+    data = ["--dataset", "syn2", "--T", "240", "--seed", "3"]
+    code, _, err = _run(capsys, "fit", *data, "--filters", "kalman", "--out", str(tmp_path))
+    assert code == 0, err
+    bundle = tmp_path / "kalman.json"
+    payload = json.loads(bundle.read_text())
+    edit(payload)
+    bundle.write_text(json.dumps(payload) + "\n")
+    code, stdout, err = _run(
+        capsys, "run", *data, "--model", str(bundle), "--out", str(tmp_path / "trace.csv")
+    )
+    assert code == 1 and stdout == ""
+    payload = _stderr_json(err)
+    assert payload["error"] == "ValueError" and key in payload["message"]
+
+
 def test_run_requires_model_and_out(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--out", str(tmp_path / "t.csv"))
     assert code == 1 and "--model" in _stderr_json(err)["message"]

@@ -15,6 +15,7 @@ from dkf.filters import (
     GenerativeObservationModel,
     InvalidPosterior,
     UkfParameters,
+    constant_q,
     discriminative_from_linear,
     dkf_steady_state_covariance,
     dkf_step,
@@ -48,6 +49,63 @@ def _random_affine_obs(rng: np.random.Generator, d: int, m: int) -> GenerativeOb
     L = rng.standard_normal((m, m))
     Lam = L @ L.T + 0.3 * np.eye(m)
     return GenerativeObservationModel.linear(H, Lam, offset=rng.standard_normal(m))
+
+
+def _constant_model(f_val, Q_val) -> DiscriminativeObservationModel:
+    """A discriminative model whose f and Q do not depend on x."""
+    f_val = np.atleast_1d(np.asarray(f_val, float))
+    Q_val = np.atleast_2d(np.asarray(Q_val, float))
+    return DiscriminativeObservationModel(f=lambda X: np.tile(f_val, (len(X), 1)), Q=constant_q(Q_val))
+
+
+def _rows(fn, X):
+    """fn evaluated one row at a time, as a batch of one each."""
+    return np.stack([fn(x[None])[0] for x in X])
+
+
+def test_linear_models_are_batched():
+    rng = np.random.default_rng(29)
+    d, m, N = 3, 4, 9
+    dyn = _random_dynamics(rng, d)
+    gen = _random_affine_obs(rng, d, m)
+    disc = discriminative_from_linear(dyn, gen)
+    Z = rng.standard_normal((N, d))
+    X = rng.standard_normal((N, m))
+    for fn, inputs, shape in (
+        (gen.h, Z, (N, m)), (disc.f, X, (N, d)), (disc.Q, X, (N, d, d)),
+    ):
+        out = fn(inputs)
+        assert out.shape == shape
+        assert np.allclose(out, _rows(fn, inputs), rtol=1e-12, atol=0.0)
+    assert np.array_equal(gen.h(Z), Z @ gen.H.T + gen.offset)
+
+
+def test_steps_evaluate_the_model_once_per_step():
+    # ekf: one h call at the prediction and one on the 2d finite-difference
+    # points; ukf: one call on the 2d + 1 sigma points; dkf: f and Q once each
+    rng = np.random.default_rng(4)
+    d = 2
+    dyn = _random_dynamics(rng, d)
+    belief = GaussianBelief(rng.standard_normal(d), np.eye(d))
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(A):
+            calls.append((name, A.shape[0]))
+            return fn(A)
+        return wrapped
+
+    gen = GenerativeObservationModel(h=counted("h", np.tanh), Lambda=np.eye(d))
+    ekf_step(belief, np.zeros(d), dyn, gen)
+    assert sorted(calls) == [("h", 1), ("h", 2 * d)]
+    calls.clear()
+    ukf_step(belief, np.zeros(d), dyn, gen)
+    assert calls == [("h", 2 * d + 1)]
+    calls.clear()
+    model = _constant_model(np.zeros(d), 0.5 * np.asarray(dyn.S))
+    disc = DiscriminativeObservationModel(f=counted("f", model.f), Q=counted("Q", model.Q))
+    dkf_step(belief, np.zeros(3), dyn, disc)
+    assert calls == [("f", 1), ("Q", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +202,7 @@ def test_ekf_cubic_coordinate_carries_no_first_order_information():
     dyn = ar1_dynamics()
     belief = GaussianBelief([0.0], [[0.5]])
     obs = GenerativeObservationModel(
-        h=lambda z: np.array([z[0], z[0] ** 3]),
+        h=lambda Z: np.hstack([Z, Z ** 3]),
         Lambda=np.eye(2),
         jacobian=lambda z: np.array([[1.0], [3.0 * z[0] ** 2]]),
     )
@@ -155,10 +213,10 @@ def test_ekf_cubic_coordinate_carries_no_first_order_information():
 
 
 def test_ekf_finite_difference_jacobian_accuracy():
-    H = finite_difference_jacobian(lambda z: np.array([z[0] ** 3]), np.array([0.0]))
+    H = finite_difference_jacobian(lambda Z: Z ** 3, np.array([0.0]))
     assert abs(H[0, 0]) < 1e-9
     H = finite_difference_jacobian(
-        lambda z: np.array([math.sin(z[0]) * z[1], z[1] ** 2]), np.array([0.3, -1.2])
+        lambda Z: np.column_stack([np.sin(Z[:, 0]) * Z[:, 1], Z[:, 1] ** 2]), np.array([0.3, -1.2])
     )
     expect = np.array([[math.cos(0.3) * -1.2, math.sin(0.3)], [0.0, -2.4]])
     assert np.allclose(H, expect, atol=1e-8)
@@ -226,7 +284,7 @@ def test_ukf_even_h_keeps_zero_mean():
     # move the posterior mean off 0
     dyn = ar1_dynamics()
     belief = GaussianBelief([0.0], [[0.5]])
-    obs = GenerativeObservationModel(h=lambda z: np.array([z[0] ** 2]), Lambda=[[0.1]])
+    obs = GenerativeObservationModel(h=lambda Z: Z ** 2, Lambda=[[0.1]])
     for x in (-3.0, 0.0, 2.5):
         post = ukf_step(belief, np.array([x]), dyn, obs)
         assert abs(post.mean[0]) < 1e-12
@@ -294,7 +352,7 @@ def test_dkf_scalar_hand_example():
     # mean = cov * (2.0/0.8 + 0.9*1.0/1.405)
     dyn = ar1_dynamics()
     belief = GaussianBelief([1.0], [[0.5]])
-    obs = DiscriminativeObservationModel(f=lambda x: np.array([2.0]), Q=lambda x: np.array([[0.8]]))
+    obs = _constant_model(2.0, 0.8)
     post = dkf_step(belief, np.array([0.0]), dyn, obs)
     precision = 1.0 / 0.8 + 1.0 / 1.405 - 0.19
     cov = 1.0 / precision
@@ -312,7 +370,7 @@ def test_dkf_first_step_returns_model_output():
     dyn = ar1_dynamics()
     f_val = np.array([1.3])
     Q_val = np.array([[0.7]])
-    obs = DiscriminativeObservationModel(f=lambda x: f_val, Q=lambda x: Q_val)
+    obs = _constant_model(f_val, Q_val)
     post = dkf_step(dyn.stationary_belief(), np.array([0.0]), dyn, obs)
     assert abs(post.mean[0] - 1.3) < 1e-10
     assert abs(post.covariance[0, 0] - 0.7) < 1e-10
@@ -321,7 +379,7 @@ def test_dkf_first_step_returns_model_output():
 def test_dkf_covariance_ignores_observation_values():
     dyn = ar1_dynamics()
     obs = DiscriminativeObservationModel(
-        f=lambda x: np.array([math.tanh(x[0])]), Q=lambda x: np.array([[0.6]])
+        f=lambda X: np.tanh(X[:, :1]), Q=constant_q(np.array([[0.6]]))
     )
     rng = np.random.default_rng(3)
     xa = rng.standard_normal((40, 1))
@@ -336,9 +394,7 @@ def test_dkf_covariance_ignores_observation_values():
 def test_dkf_q_regularization_is_counted():
     dyn = ar1_dynamics()
     stats = FilterStats()
-    obs = DiscriminativeObservationModel(
-        f=lambda x: np.array([0.0]), Q=lambda x: np.array([[100.0]])
-    )
+    obs = _constant_model(0.0, 100.0)
     dkf_step(dyn.stationary_belief(), np.array([0.0]), dyn, obs, stats)
     assert stats.q_regularized == 1
     assert stats.prior_term_dropped == 0
@@ -346,7 +402,7 @@ def test_dkf_q_regularization_is_counted():
 
 def test_dkf_shape_validation():
     dyn = ar1_dynamics()
-    obs = DiscriminativeObservationModel(f=lambda x: np.zeros(2), Q=lambda x: np.eye(2))
+    obs = _constant_model(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         dkf_step(dyn.stationary_belief(), np.array([0.0]), dyn, obs)
 
@@ -360,9 +416,7 @@ def test_dkf_fallback_drops_prior_term():
     S = float(dyn.S[0, 0])
     Q = S * (1.0 + 0.9e-12)
     belief = GaussianBelief([0.0], [[1e15]])
-    obs = DiscriminativeObservationModel(
-        f=lambda x: np.array([0.0]), Q=lambda x: np.array([[Q]])
-    )
+    obs = _constant_model(0.0, Q)
     stats = FilterStats()
     post = dkf_step(belief, np.array([0.0]), dyn, obs, stats)
     assert stats.q_regularized == 0
@@ -430,7 +484,7 @@ def test_steady_state_matches_long_dkf_run():
     dyn = ar1_dynamics()
     Q = np.array([[0.5]])
     target = dkf_steady_state_covariance(dyn, Q)
-    obs = DiscriminativeObservationModel(f=lambda x: np.array([0.0]), Q=lambda x: Q)
+    obs = _constant_model(0.0, Q)
     belief = dyn.stationary_belief()
     for _ in range(200):
         belief = dkf_step(belief, np.array([0.0]), dyn, obs)
@@ -494,14 +548,12 @@ def test_run_filter_attaches_failing_index():
     ds, dyn, _ = _linear_dataset(T=12)
     calls = {"n": 0}
 
-    def bad_f(x):
+    def bad_f(X):
         calls["n"] += 1
-        if calls["n"] >= 3:
-            return np.full(1, np.nan)
-        return np.array([0.0])
+        return np.full((len(X), 1), np.nan if calls["n"] >= 3 else 0.0)
 
     # NaN mean fails GaussianBelief validation inside the third step
-    obs = DiscriminativeObservationModel(f=bad_f, Q=lambda x: np.array([[0.5]]))
+    obs = DiscriminativeObservationModel(f=bad_f, Q=constant_q(np.array([[0.5]])))
     with pytest.raises(FilterStepError, match=r"dkf failed at test index 2 \(t=8\)"):
         run_filter("dkf", ds, dyn, obs)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dkf.filters import (
     DiscriminativeObservationModel,
     GenerativeObservationModel,
+    constant_q,
     dkf_step,
     kalman_step,
 )
@@ -202,7 +203,9 @@ def test_discriminative_grid_matches_dkf_step():
     prior = gaussian_grid_density(grid, 1.0, 0.5)
     post = grid_step_discriminative(prior, 2.0, 0.8, AR1, trans)
     mean, var = grid_moments(post)
-    obs = DiscriminativeObservationModel(f=lambda x: np.array([2.0]), Q=lambda x: np.array([[0.8]]))
+    obs = DiscriminativeObservationModel(
+        f=lambda X: np.full((len(X), 1), 2.0), Q=constant_q(np.array([[0.8]]))
+    )
     step = dkf_step(GaussianBelief([1.0], [[0.5]]), np.array([0.0]), AR1, obs)
     assert abs(mean - step.mean[0]) < 1e-4
     assert abs(var - step.covariance[0, 0]) < 1e-4
@@ -231,7 +234,7 @@ def test_grid_filter_run_discriminative_matches_dkf_trajectory():
     rng = RandomSource(7)
     x = rng.normals(25)[:, None]
     obs = DiscriminativeObservationModel(
-        f=lambda v: np.array([math.tanh(v[0])]), Q=lambda v: np.array([[0.6 + 0.2 * math.cos(v[0])]])
+        f=lambda X: np.tanh(X[:, :1]), Q=lambda X: (0.6 + 0.2 * np.cos(X[:, 0]))[:, None, None]
     )
     moments = grid_filter_run(x, AR1, obs)
     belief = AR1.stationary_belief()
@@ -268,7 +271,7 @@ def test_dkf_step_matches_grid_oracle(seed):
     post = grid_step_discriminative(prior, f_val, q_val, dyn)
     mean, var = grid_moments(post)
     obs = DiscriminativeObservationModel(
-        f=lambda x: np.array([f_val]), Q=lambda x: np.array([[q_val]])
+        f=lambda X: np.full((len(X), 1), f_val), Q=constant_q(np.array([[q_val]]))
     )
     step = dkf_step(GaussianBelief([prior_mean], [[prior_var]]), np.zeros(1), dyn, obs)
     assert abs(mean - step.mean[0]) <= 1e-4

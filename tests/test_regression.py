@@ -14,6 +14,7 @@ from dkf.regression import (
     RbfKernel,
     _finalize_gp_dim,
     _lml_and_grad,
+    apply_q_calibration,
     build_dkf_variant,
     fit_residual_Q,
     gp_fit,
@@ -216,33 +217,44 @@ def test_gp_posterior_variance_never_grows_with_data(seed):
 
 
 def test_fit_residual_q_perfect_fit_gets_floor():
-    pairs = [(np.array([float(i)]), np.array([2.0 * i])) for i in range(5)]
-    q = fit_residual_Q(lambda x: 2.0 * x, pairs)
+    Z = 2.0 * np.arange(5.0)[:, None]
+    q = fit_residual_Q(Z.copy(), Z)
     assert q.matrix[0, 0] == pytest.approx(1e-9, rel=1e-6)
     np.linalg.cholesky(q.matrix)
 
 
 def test_fit_residual_q_hand_covariance_2d():
-    targets = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, -2.0]), np.array([0.0, 2.0])]
-    pairs = [(np.zeros(1), z) for z in targets]
-    q = fit_residual_Q(lambda x: np.zeros(2), pairs)
+    targets = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -2.0], [0.0, 2.0]])
+    q = fit_residual_Q(np.zeros((4, 2)), targets)
     expect = np.diag([0.5, 2.0])
     assert np.allclose(q.matrix, expect, atol=1e-9 * 2.5)
     assert not q.matrix.flags.writeable
 
 
 def test_fit_residual_q_hand_covariance_1d():
-    pairs = [(np.zeros(1), np.array([1.0])), (np.zeros(1), np.array([-1.0]))]
-    q = fit_residual_Q(lambda x: np.zeros(1), pairs)
+    q = fit_residual_Q(np.zeros((2, 1)), np.array([[1.0], [-1.0]]))
     assert q.matrix[0, 0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_fit_residual_q_insufficient_data():
     with pytest.raises(InsufficientData):
-        fit_residual_Q(lambda x: np.zeros(1), [])
-    pairs = [(np.zeros(1), np.zeros(2)), (np.zeros(1), np.zeros(2))]
+        fit_residual_Q(np.zeros((0, 1)), np.zeros((0, 1)))
     with pytest.raises(InsufficientData):
-        fit_residual_Q(lambda x: np.zeros(2), pairs)
+        fit_residual_Q(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        fit_residual_Q(np.zeros((5, 2)), np.zeros((5, 1)))
+
+
+def test_apply_q_calibration_batch_equals_rows():
+    # a batch (N, d) is scaled entry by entry exactly as one (d,) row at a
+    # time, values sitting on a bin edge included
+    edges = np.array([[0.5, 1.0, 2.0], [0.1, 0.2, 0.4]])
+    scales = np.array([[0.5, 1.5, 2.0, 3.0], [4.0, 0.25, 1.0, 7.0]])
+    q = np.random.default_rng(2).uniform(0.0, 2.5, size=(40, 2))
+    q[:4] = edges.T[[0, 1, 2, 2]]
+    rows = np.array([apply_q_calibration(row, edges, scales) for row in q])
+    assert np.array_equal(apply_q_calibration(q, edges, scales), rows)
+    assert np.array_equal(rows[1], edges.T[1] * scales[:, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +362,9 @@ def test_build_dkf_variant_rejects_unknown_kind():
 def test_dkf_gp_q_is_diagonal():
     ds = _toy_dataset()
     model = build_dkf_variant("dkf-gp", ds, RandomSource(1))
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        Q = model.Q(rng.uniform(-1, 1, size=2))
-        assert Q.shape == (1, 1)
-        assert Q[0, 0] > 0
+    Q = model.Q(np.random.default_rng(0).uniform(-1, 1, size=(5, 2)))
+    assert Q.shape == (5, 1, 1)
+    assert np.all(Q[:, 0, 0] > 0)
     assert model.meta["kind"] == "dkf-gp"
 
 
@@ -369,16 +379,15 @@ def test_dkf_gp_freq_uses_contiguous_last_fifth():
     resid = gp_predict_mean(gp, X[40:], batch=True) - Z[40:]
     expect = resid.T @ resid / 10
     expect += 1e-9 * np.trace(expect) / 1 * np.eye(1)
-    assert np.allclose(model.Q(np.zeros(2)), expect, rtol=1e-12)
+    assert np.allclose(model.Q(np.zeros((1, 2)))[0], expect, rtol=1e-12)
 
 
 def test_dkf_nn_q_constant_across_probes():
     ds = _toy_dataset(n_train=120)
     model = build_dkf_variant("dkf-nn", ds, RandomSource(3))
-    rng = np.random.default_rng(1)
-    base = model.Q(rng.uniform(-1, 1, size=2))
-    for _ in range(100):
-        assert np.array_equal(model.Q(rng.uniform(-1, 1, size=2)), base)
+    Qs = model.Q(np.random.default_rng(1).uniform(-1, 1, size=(100, 2)))
+    assert Qs.shape == (100, 1, 1)
+    assert np.all(Qs == Qs[0])
 
 
 @pytest.mark.parametrize("kind", ["dkf-gp", "dkf-gp-freq"])

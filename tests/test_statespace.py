@@ -187,26 +187,28 @@ def test_stationary_covariance_property(seed):
 def test_fit_dynamics_recovers_truth():
     dyn = ar1_dynamics()
     z = simulate_states(dyn, 20_000, RandomSource(3))
-    fitted = fit_dynamics(list(zip(z[:-1], z[1:])))
+    fitted = fit_dynamics(z)
     assert fitted.A[0, 0] == pytest.approx(0.9, abs=0.02)
     assert fitted.Gamma[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_fit_dynamics_exact_on_noiseless_line():
-    # z_next = 0.5 z_prev exactly; residuals are zero so Gamma is the floor
-    prev = np.linspace(1, 5, 9)[:, None]
-    fitted = fit_dynamics(list(zip(prev, 0.5 * prev)))
+    # z_t = 0.5 z_(t-1) exactly; residuals are zero so Gamma is the floor
+    z = 5.0 * 0.5 ** np.arange(9.0)[:, None]
+    fitted = fit_dynamics(z)
     assert fitted.A[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert fitted.Gamma[0, 0] > 0
 
 
 def test_fit_dynamics_rank_errors():
     with pytest.raises(RankDeficient):
-        fit_dynamics([])
+        fit_dynamics(np.zeros((1, 1)))  # no pairs
     with pytest.raises(RankDeficient):
-        fit_dynamics([(np.zeros(2), np.zeros(2))] * 5)  # no span
+        fit_dynamics(np.zeros((6, 2)))  # no span
     with pytest.raises(RankDeficient):
-        fit_dynamics([(np.ones(3), np.ones(3))] * 3)  # n < d+1
+        fit_dynamics(np.ones((4, 3)))  # n < d+1
+    with pytest.raises(ValueError, match="shape"):
+        fit_dynamics(np.ones(10))  # not (T, d)
 
 
 def test_spd_floor():
